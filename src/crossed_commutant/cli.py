@@ -18,17 +18,13 @@ import sys
 from typing import Any
 
 from .commutant import (
+    DifferenceDescription,
     SubalgebraView,
     commutant_description,
     commutant_difference,
-    sep_set,
 )
 from .crossed import is_strongly_graded
-from .dynamics import (
-    refined_cycle_classes,
-    validate_invariance,
-    validate_refined_invariance,
-)
+from .dynamics import validate_invariance, validate_refined_invariance
 from .enumeration import atlas_instances, classify_cases
 from .errors import EngineError, InstanceFormatError, ScaleExceeded
 from .fixtures import DESCRIPTIONS, builtin_instance, builtin_names
@@ -42,6 +38,12 @@ from .instances import (
 from .selftest import run_selftest
 
 GRADING_WINDOW_CAP = 3
+
+
+def _count(text: str) -> int:
+    if not text.strip().removeprefix("+").isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _add_instance_args(sub: argparse.ArgumentParser) -> None:
@@ -106,11 +108,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _difference_payload(instance: Instance) -> dict[str, Any]:
-    difference = commutant_difference(
-        instance.refinement, instance.base_map, instance.refined_map
-    )
-    window = instance.window
+def _difference_payload(difference: DifferenceDescription, window: int) -> dict[str, Any]:
     return {
         "active_classes": {
             f"{k},{l}": sorted(pieces)
@@ -126,7 +124,7 @@ def _difference_payload(instance: Instance) -> dict[str, Any]:
 def _report_payload(instance: Instance) -> dict[str, Any]:
     partition = instance.analysis_partition
     fine_view = SubalgebraView.identity(partition)
-    description = commutant_description(fine_view, instance.refined_map, instance.window)
+    description = commutant_description(fine_view, instance.refined_map)
     window = instance.window
     payload: dict[str, Any] = {
         "instance": render_instance(instance),
@@ -142,20 +140,18 @@ def _report_payload(instance: Instance) -> dict[str, Any]:
         "difference": None,
     }
     if instance.refined:
-        coarse_view = SubalgebraView.of_refinement(instance.refinement)
-        coarse = commutant_description(coarse_view, instance.refined_map, window)
-        rcc = refined_cycle_classes(instance.refinement, instance.base_map, instance.refined_map)
+        difference = commutant_difference(
+            instance.refinement, instance.base_map, instance.refined_map
+        )
+        coarse = difference.coarse
         payload["coarse_classes"] = {
             str(k): sorted(v) for k, v in sorted(coarse.class_pieces.items())
         }
         payload["tilde_classes"] = {
-            f"{k},{l}": sorted(v) for (k, l), v in sorted(rcc.tilde_classes.items())
+            f"{k},{l}": sorted(v) for (k, l), v in sorted(difference.tilde_classes.items())
         }
-        payload["coarse_sep"] = {
-            str(n): sorted(sep_set(coarse_view, instance.refined_map, n))
-            for n in range(-window, window + 1)
-        }
-        payload["difference"] = _difference_payload(instance)
+        payload["coarse_sep"] = {str(n): sorted(coarse.sep(n)) for n in range(-window, window + 1)}
+        payload["difference"] = _difference_payload(difference, window)
     grading_window = min(window, GRADING_WINDOW_CAP)
     grading = is_strongly_graded(description, instance.refined_map, grading_window)
     payload["grading"] = {
@@ -313,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     p_atlas = sub.add_parser("atlas", help="classify all small configurations")
-    p_atlas.add_argument("--points", type=int, required=True, metavar="M",
+    p_atlas.add_argument("--points", type=_count, required=True, metavar="M",
                          help="total number of jump points to add")
-    p_atlas.add_argument("--base-n", type=int, default=None, metavar="N",
+    p_atlas.add_argument("--base-n", type=_count, default=None, metavar="N",
                          help="jump points in the base (default: minimal)")
     p_atlas.add_argument("--max-lifts", type=int, default=1_000_000,
                          help="budget on lifts per base map")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .crossed import (
     CoefficientVector,
@@ -33,7 +33,6 @@ from .crossed import (
 )
 from .dynamics import (
     PieceMap,
-    ValidationReport,
     cycle_lengths,
     refined_cycle_classes,
     validate_refined_invariance,
@@ -82,9 +81,7 @@ def descend_map(view: SubalgebraView, piece_map: PieceMap) -> tuple[int, ...]:
                 f"coarse piece {view.sub.label_of(src)} is torn between "
                 f"{view.sub.label_of(coarse[src])} and {view.sub.label_of(dst)}"
             )
-    result = tuple(coarse)  # type: ignore[arg-type]
-    assert sorted(result) == list(range(len(result)))
-    return result
+    return tuple(coarse)  # type: ignore[arg-type]
 
 
 def _coarse_periods(view: SubalgebraView, piece_map: PieceMap) -> tuple[int, ...]:
@@ -131,12 +128,11 @@ class CommutantDescription:
     ``class_pieces[k]`` collects the fine pieces whose coarse piece has
     period k.  The degree-n component of the commutant is supported exactly
     on the union of the classes with k dividing n, for every integer n at
-    once; ``window`` only bounds materialized tables, never validity.
+    once.
     """
 
     view: SubalgebraView
     class_pieces: Mapping[int, frozenset[int]]
-    window: int
 
     @property
     def piece_count(self) -> int:
@@ -165,9 +161,7 @@ class CommutantDescription:
         )
 
 
-def commutant_description(
-    view: SubalgebraView, piece_map: PieceMap, degree_window: int = 6
-) -> CommutantDescription:
+def commutant_description(view: SubalgebraView, piece_map: PieceMap) -> CommutantDescription:
     periods = _coarse_periods(view, piece_map)
     grouped: dict[int, set[int]] = {}
     for p in range(view.ambient.piece_count):
@@ -175,7 +169,6 @@ def commutant_description(
     return CommutantDescription(
         view=view,
         class_pieces={k: frozenset(v) for k, v in sorted(grouped.items())},
-        window=degree_window,
     )
 
 
@@ -220,7 +213,7 @@ def find_noncommuting_witness(
     always exists then.  Returns None for members, after checking
     commutation against a small random sample of coarse elements.
     """
-    description = commutant_description(view, piece_map, degree_window=1)
+    description = commutant_description(view, piece_map)
     verdict = is_in_commutant(elem, description)
     if not verdict.member:
         for q in range(view.sub.piece_count):
@@ -239,13 +232,10 @@ def find_noncommuting_witness(
     return None
 
 
-def _require_lift(
-    refinement: Refinement, base_map: PieceMap, refined_map: PieceMap
-) -> ValidationReport:
+def _require_lift(refinement: Refinement, base_map: PieceMap, refined_map: PieceMap) -> None:
     report = validate_refined_invariance(refinement, base_map, refined_map)
     if not report.ok:
         raise LiftInconsistent("; ".join(report.messages()))
-    return report
 
 
 def refined_sep(
@@ -253,21 +243,12 @@ def refined_sep(
 ) -> frozenset[int]:
     """Degree-n separation set of the full refined algebra, as fine pieces.
 
-    Computed from the fine periods, then checked against the decomposition:
-    the coarse separation set plus, for every parent class of period k
-    dividing n, the (k, l) classes whose multiplier l does not divide n/k.
+    Computed from the fine periods once the lift is checked.  It decomposes
+    as the coarse separation set plus ``commutant_difference(...)
+    .forbidden_at(n)``; the self-test checks that law.
     """
     _require_lift(refinement, base_map, refined_map)
-    fine = sep_set(SubalgebraView.identity(refinement.refined), refined_map, n)
-
-    coarse = sep_set(SubalgebraView.of_refinement(refinement), refined_map, n)
-    rcc = refined_cycle_classes(refinement, base_map, refined_map)
-    extra: set[int] = set()
-    for (k, l), pieces in rcc.tilde_classes.items():
-        if n % k == 0 and (n // k) % l != 0:
-            extra |= pieces
-    assert fine == coarse | extra, "separation sets violate the decomposition law"
-    return fine
+    return sep_set(SubalgebraView.identity(refinement.refined), refined_map, n)
 
 
 @dataclass(frozen=True)
@@ -280,9 +261,6 @@ class DifferenceDescription:
     dividing n and l not dividing n/k.  Classes with l = 1 never contribute.
     """
 
-    refinement: Refinement
-    base_map: PieceMap
-    refined_map: PieceMap
     tilde_classes: Mapping[tuple[int, int], frozenset[int]]
     coarse: CommutantDescription
     refined: CommutantDescription
@@ -319,9 +297,6 @@ def commutant_difference(
     coarse = commutant_description(SubalgebraView.of_refinement(refinement), refined_map)
     refined = commutant_description(SubalgebraView.identity(refinement.refined), refined_map)
     return DifferenceDescription(
-        refinement=refinement,
-        base_map=base_map,
-        refined_map=refined_map,
         tilde_classes=dict(rcc.tilde_classes),
         coarse=coarse,
         refined=refined,

@@ -92,7 +92,7 @@ VectorLike = Union[CoefficientVector, Sequence[RationalLike]]
 def _as_vector(value: VectorLike) -> CoefficientVector:
     if isinstance(value, CoefficientVector):
         return value
-    return CoefficientVector(tuple(as_fraction(v) for v in value))
+    return CoefficientVector(tuple(value))
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,6 @@ class CrossedElement:
         """Length of the coefficient vectors, or None for the zero element."""
         return len(self.terms[0][1]) if self.terms else None
 
-    def as_dict(self) -> dict[int, CoefficientVector]:
-        return {n: vec for n, vec in self.terms}
-
     def __add__(self, other: "CrossedElement") -> "CrossedElement":
         acc = {n: vec for n, vec in self.terms}
         for n, vec in other.terms:
@@ -143,8 +140,7 @@ class CrossedElement:
     @classmethod
     def from_json(cls, data: Mapping) -> "CrossedElement":
         terms = data.get("terms", {})
-        return crossed_element({int(n): [as_fraction(v) for v in vals]
-                                for n, vals in terms.items()})
+        return crossed_element({int(n): vals for n, vals in terms.items()})
 
 
 def crossed_element(terms: Mapping[int, VectorLike]) -> CrossedElement:
@@ -198,11 +194,6 @@ def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> Cross
             d = n + m
             acc[d] = acc[d] + contrib if d in acc else contrib
     return crossed_element(acc)
-
-
-def graded_component_dim(support_mask: Iterable[int]) -> int:
-    """Dimension of a graded component with the given allowed pieces."""
-    return len(frozenset(support_mask))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ ratio is the piece's multiplier.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -342,15 +342,6 @@ class PiProfile:
         return tuple(sorted((l, c) for l, c in self.pi.items() if c > 0))
 
 
-def _child_split(rcc: RefinedCycleClassification, base_id: int) -> tuple[list[int], list[int]]:
-    refined = rcc.refinement.refined
-    subs = [c for c in rcc.refinement.children_of(base_id)
-            if refined.pieces[c].kind is not PieceKind.POINT]
-    pts = [c for c in rcc.refinement.children_of(base_id)
-           if refined.pieces[c].kind is PieceKind.POINT]
-    return subs, pts
-
-
 def pi_profile(rcc: RefinedCycleClassification, base_cycle: Iterable[int]) -> PiProfile:
     """Multiplier profile of the interval members of one base orbit.
 
@@ -371,7 +362,7 @@ def pi_profile(rcc: RefinedCycleClassification, base_cycle: Iterable[int]) -> Pi
     k = periods.pop()
 
     def profile(b: int) -> tuple[int, Counter]:
-        subs, _ = _child_split(rcc, b)
+        subs = rcc.refinement.kind_split[b][0]
         return len(subs) - 1, Counter(rcc.multiplier_of[c] for c in subs)
 
     rep = intervals[0]
@@ -449,12 +440,7 @@ def realize_pi(k: int, p: int, profile: PiProfile) -> tuple[Refinement, PieceMap
         return refinement, base_map, base_map
 
     refined = refinement.refined
-    subs: list[list[int]] = []
-    pts: list[list[int]] = []
-    for alpha in range(k):
-        kids = refinement.children_of(alpha)
-        subs.append([c for c in kids if refined.pieces[c].kind is not PieceKind.POINT])
-        pts.append([c for c in kids if refined.pieces[c].kind is PieceKind.POINT])
+    subs, pts = zip(*refinement.kind_split[:k])  # the base intervals are pieces 0..k-1
 
     blocks: list[list[int]] = []
     cursor = 0

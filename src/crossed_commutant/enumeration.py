@@ -23,7 +23,6 @@ from .commutant import DifferenceDescription, commutant_difference
 from .dynamics import PieceMap, _unchecked_piece_map, perm_cycles
 from .errors import ScaleExceeded
 from .partition import (
-    PieceKind,
     Refinement,
     build_real_line_partition,
     evenly_spaced_inside,
@@ -31,14 +30,6 @@ from .partition import (
 )
 
 Instance = tuple[Refinement, PieceMap, PieceMap]
-
-
-def _kind_split(refinement: Refinement, base_id: int) -> tuple[list[int], list[int]]:
-    pieces = refinement.refined.pieces
-    kids = refinement.children_of(base_id)
-    ints = [c for c in kids if pieces[c].kind is not PieceKind.POINT]
-    pts = [c for c in kids if pieces[c].kind is PieceKind.POINT]
-    return ints, pts
 
 
 def _arcs(refinement: Refinement, base_map: PieceMap):
@@ -50,9 +41,8 @@ def _arcs(refinement: Refinement, base_map: PieceMap):
     arcs = []
     for cycle in perm_cycles(base_map.perm):
         for b in cycle:
-            b2 = base_map.perm[b]
-            src = _kind_split(refinement, b)
-            dst = _kind_split(refinement, b2)
+            src = refinement.kind_split[b]
+            dst = refinement.kind_split[base_map.perm[b]]
             if len(src[0]) != len(dst[0]) or len(src[1]) != len(dst[1]):
                 return None
             arcs.append((src, dst))
@@ -95,13 +85,9 @@ def enumerate_refined_maps(
     point_choices = [_assignments(src[1], dst[1]) for src, dst in arcs]
     refined = refinement.refined
     size = refined.piece_count
-    n_arcs = len(arcs)
     for combo in itertools.product(*interval_choices, *point_choices):
         perm = [0] * size
-        for assignment in combo[:n_arcs]:
-            for s, image in assignment:
-                perm[s] = image
-        for assignment in combo[n_arcs:]:
+        for assignment in combo:
             for s, image in assignment:
                 perm[s] = image
         yield _unchecked_piece_map(refined, tuple(perm))
@@ -213,8 +199,10 @@ def atlas_instances(
     For each distribution of the points over distinct intervals, the base
     has exactly as many intervals as the distribution has parts (or base_n
     jump points when given), the first intervals receive the points, and
-    every base map admitting lifts contributes its full lift stream.
+    every base map admitting lifts contributes its full lift stream.  Every
+    distribution is checked against the caps before the first lift is yielded.
     """
+    plan = []
     for distribution in integer_partitions(total_points):
         parts = len(distribution)
         n = (parts - 1 if parts else 0) if base_n is None else base_n
@@ -222,17 +210,17 @@ def atlas_instances(
             raise ScaleExceeded(
                 f"distribution {distribution} needs {parts} intervals, base has {n + 1}"
             )
+        pieces = 2 * (n + total_points) + 1
+        if pieces > max_pieces:
+            raise ScaleExceeded(f"{pieces} pieces exceeds the desk-scale bound of {max_pieces}")
+        plan.append((distribution, n))
+    for distribution, n in plan:
         base = build_real_line_partition([Fraction(i) for i in range(1, n + 1)])
         additions = {
             alpha: evenly_spaced_inside(*base.bounds_of(alpha), count)
             for alpha, count in enumerate(distribution)
         }
         refinement = refine_real_line(base, additions)
-        if refinement.refined.piece_count > max_pieces:
-            raise ScaleExceeded(
-                f"{refinement.refined.piece_count} pieces exceeds the desk-scale "
-                f"bound of {max_pieces}"
-            )
         for base_map in _kind_preserving_base_maps(base):
             lifts = count_refined_maps(refinement, base_map)
             if lifts == 0:
@@ -271,20 +259,9 @@ def c1_subcase_count(k: int) -> int:
 
 
 def _cycle_type(perm: Sequence[int], ids: Sequence[int]) -> tuple[int, ...]:
-    remaining = set(ids)
-    lengths = []
-    while remaining:
-        start = min(remaining)
-        length = 0
-        cur = start
-        while True:
-            remaining.discard(cur)
-            length += 1
-            cur = perm[cur]
-            if cur == start:
-                break
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+    """Cycle lengths, longest first, of ``perm`` on the invariant set ``ids``."""
+    members = set(ids)
+    return tuple(sorted((len(c) for c in perm_cycles(perm) if c[0] in members), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -309,7 +286,7 @@ def c1_subcase_diagnostic(k: int) -> SubcaseDiagnostic:
     base = build_real_line_partition([])
     refinement = refine_real_line(base, {0: evenly_spaced_inside(None, None, k)})
     base_map = PieceMap.identity(base)
-    ints, pts = _kind_split(refinement, 0)
+    ints, pts = refinement.kind_split[0]
     shapes = set()
     for lift in enumerate_refined_maps(refinement, base_map):
         shapes.add((_cycle_type(lift.perm, ints), _cycle_type(lift.perm, pts)))

@@ -16,9 +16,10 @@ rejected so that no comparison ever depends on binary rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 from .errors import (
@@ -29,6 +30,9 @@ from .errors import (
 )
 
 RationalLike = Union[Fraction, int, str]
+
+# Python's default digit limit for integer strings; a larger exponent makes Fraction build 10**exp
+MAX_DECIMAL_EXPONENT = 4300
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -44,7 +48,13 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        exponent = text.lower().partition("e")[2].replace("_", "")
+        if exponent.lstrip("+-").isdecimal() and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"the exponent of {text[:40]!r} exceeds {MAX_DECIMAL_EXPONENT} in absolute value"
+            )
+        return Fraction(text)
     if isinstance(value, float):
         raise TypeError(
             "floats are not exact; pass a string like '1/3' or a Fraction"
@@ -163,7 +173,6 @@ class Refinement:
     refined: Partition
     parent_of: tuple[int, ...]
     added_points: Mapping[int, tuple[Fraction, ...]] | None
-    children: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         if len(self.parent_of) != self.refined.piece_count:
@@ -172,19 +181,32 @@ class Refinement:
         if seen != set(range(self.base.piece_count)):
             raise ValueError("parent_of must map onto the base pieces")
 
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Per base piece, its fine pieces in id order."""
+        table: list[list[int]] = [[] for _ in range(self.base.piece_count)]
+        for child, parent in enumerate(self.parent_of):
+            table[parent].append(child)
+        return tuple(tuple(kids) for kids in table)
+
     def children_of(self, base_id: int) -> tuple[int, ...]:
         return self.children[base_id]
+
+    @cached_property
+    def kind_split(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per base piece, its (non-point children, point children)."""
+        pieces = self.refined.pieces
+        return tuple(
+            (
+                tuple(c for c in kids if pieces[c].kind is not PieceKind.POINT),
+                tuple(c for c in kids if pieces[c].kind is PieceKind.POINT),
+            )
+            for kids in self.children
+        )
 
     @property
     def is_identity(self) -> bool:
         return self.refined is self.base
-
-
-def _children_table(parent_of: Sequence[int], base_count: int) -> tuple[tuple[int, ...], ...]:
-    table: list[list[int]] = [[] for _ in range(base_count)]
-    for child, parent in enumerate(parent_of):
-        table[parent].append(child)
-    return tuple(tuple(kids) for kids in table)
 
 
 def identity_refinement(partition: Partition) -> Refinement:
@@ -195,16 +217,12 @@ def identity_refinement(partition: Partition) -> Refinement:
         refined=partition,
         parent_of=tuple(range(count)),
         added_points=added,
-        children=tuple((i,) for i in range(count)),
     )
 
 
 def build_real_line_partition(jump_points: Sequence[RationalLike]) -> RealLinePartition:
     """Build the canonical partition for strictly increasing jump points."""
     values = tuple(as_fraction(p) for p in jump_points)
-    for a, b in zip(values, values[1:]):
-        if not a < b:
-            raise NonIncreasingPoints(f"jump points not strictly increasing: {a} then {b}")
     n = len(values)
     pieces = [
         Piece(id=alpha, kind=PieceKind.INTERVAL, label=f"I_{alpha}")
@@ -273,15 +291,11 @@ def refine_real_line(
             adds[alpha] = tuple(points)
 
     all_added = [s for pts in adds.values() for s in pts]
-    if len(set(all_added)) != len(all_added):
-        # distinct open intervals cannot share a value; guard anyway
-        raise DuplicatePoint("the same value was added twice")
     m = len(all_added)
     if m == 0:
         return identity_refinement(base)
 
     new_jumps = tuple(sorted(base.jump_points + tuple(all_added)))
-    total = n + m
 
     pieces: list[Piece] = []
     for alpha in range(n + 1):
@@ -322,13 +336,11 @@ def refine_real_line(
 
     refined = RealLinePartition(jump_points=new_jumps, pieces=tuple(pieces))
     parent_of = tuple(p.parent for p in pieces)  # type: ignore[arg-type]
-    assert len(refined.pieces) == 2 * total + 1
     return Refinement(
         base=base,
         refined=refined,
         parent_of=parent_of,
         added_points=adds,
-        children=_children_table(parent_of, base.piece_count),
     )
 
 
@@ -360,5 +372,4 @@ def refine_abstract(
         refined=refined,
         parent_of=tuple(parent_of),
         added_points=None,
-        children=_children_table(parent_of, base.cardinality),
     )

@@ -11,11 +11,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 from .commutant import (
     SubalgebraView,
     brute_force_sep,
     commutant_description,
+    commutant_difference,
     find_noncommuting_witness,
     generator_element,
     refined_sep,
@@ -98,20 +100,15 @@ def _random_kind_preserving_perm(rng: random.Random, partition) -> tuple[int, ..
 
 
 def _random_lift(rng: random.Random, refinement: Refinement, base_map: PieceMap) -> PieceMap:
-    refined = refinement.refined
-    perm = [0] * refined.piece_count
+    perm = [0] * refinement.refined.piece_count
     for b in range(refinement.base.piece_count):
-        b2 = base_map.perm[b]
-        for kind_filter in (True, False):
-            src = [c for c in refinement.children_of(b)
-                   if (refined.pieces[c].kind is PieceKind.POINT) is kind_filter]
-            dst = [c for c in refinement.children_of(b2)
-                   if (refined.pieces[c].kind is PieceKind.POINT) is kind_filter]
-            images = dst[:]
+        src, dst = refinement.kind_split[b], refinement.kind_split[base_map.perm[b]]
+        for kind in (1, 0):  # point children first, then the others
+            images = list(dst[kind])
             rng.shuffle(images)
-            for s, d in zip(src, images):
+            for s, d in zip(src[kind], images):
                 perm[s] = d
-    return PieceMap(refined, tuple(perm))
+    return PieceMap(refinement.refined, tuple(perm))
 
 
 def random_instance(rng: random.Random, max_pieces: int = 11) -> GeneratedInstance:
@@ -189,33 +186,58 @@ def _random_element(rng: random.Random, size: int):
 # suites
 
 
-def suite_sep_oracle(seed: int, instances: int = 1000) -> SuiteResult:
-    """Formula-based separation sets equal the generator-by-generator oracle."""
+Outcome = tuple[GeneratedInstance, str | None] | None
+
+
+def _run_suite(
+    name: str,
+    seed: int,
+    count: int,
+    subject: Callable[[random.Random], Outcome],
+    attempts: int = 50,
+) -> SuiteResult:
+    """Check ``count`` subjects drawn one after another from one seeded stream.
+
+    ``subject(rng)`` draws one subject and returns None to skip it, else its
+    instance and None (a pass) or a failure description.  At most ``attempts``
+    draws are made per wanted subject; the total is the number checked.
+    """
     rng = random.Random(seed)
     passed = 0
-    for index in range(instances):
+    for _ in range(count * attempts):
+        if passed == count:
+            break
+        outcome = subject(rng)
+        if outcome is None:
+            continue
+        instance, failure = outcome
+        if failure is not None:
+            counterexample = f"subject {passed + 1}: {failure} on {instance.describe()}"
+            return SuiteResult(name, passed, count, counterexample)
+        passed += 1
+    return SuiteResult(name, passed, passed)
+
+
+def suite_sep_oracle(seed: int, instances: int = 1000) -> SuiteResult:
+    """Formula-based separation sets equal the generator-by-generator oracle."""
+
+    def subject(rng: random.Random) -> Outcome:
         instance = random_instance(rng)
         for view in _views(instance):
             for n in range(-WINDOW, WINDOW + 1):
                 fast = sep_set(view, instance.refined_map, n)
                 slow = brute_force_sep(view, instance.refined_map, n)
                 if fast != slow:
-                    return SuiteResult(
-                        "sep formula = oracle",
-                        passed,
-                        instances,
-                        f"instance {index}: n={n} formula={sorted(fast)} "
-                        f"oracle={sorted(slow)} on {instance.describe()}",
-                    )
-        passed += 1
-    return SuiteResult("sep formula = oracle", passed, instances)
+                    return instance, f"n={n} formula={sorted(fast)} oracle={sorted(slow)}"
+        return instance, None
+
+    return _run_suite("sep formula = oracle", seed, instances, subject)
 
 
 def suite_action_laws(seed: int, iterations: int = 300) -> SuiteResult:
     """Transport is a group action by algebra automorphisms."""
-    rng = random.Random(seed)
-    passed = 0
-    for index in range(iterations):
+
+    def subject(rng: random.Random) -> Outcome:
         instance = random_instance(rng)
         pm = instance.refined_map
         size = instance.size
@@ -227,22 +249,15 @@ def suite_action_laws(seed: int, iterations: int = 300) -> SuiteResult:
             and sigma_tilde_pow(f * g, pm, n) == sigma_tilde_pow(f, pm, n) * sigma_tilde_pow(g, pm, n)
             and sigma_tilde_pow(f + g, pm, n) == sigma_tilde_pow(f, pm, n) + sigma_tilde_pow(g, pm, n)
         )
-        if not ok:
-            return SuiteResult(
-                "transport group action laws",
-                passed,
-                iterations,
-                f"iteration {index}: n={n}, m={m} on {instance.describe()}",
-            )
-        passed += 1
-    return SuiteResult("transport group action laws", passed, iterations)
+        return instance, None if ok else f"n={n}, m={m}"
+
+    return _run_suite("transport group action laws", seed, iterations, subject)
 
 
 def suite_algebra_laws(seed: int, triples: int = 500) -> SuiteResult:
     """Multiplication is associative and bilinear over the rationals."""
-    rng = random.Random(seed)
-    passed = 0
-    for index in range(triples):
+
+    def subject(rng: random.Random) -> Outcome:
         instance = random_instance(rng)
         pm = instance.refined_map
         size = instance.size
@@ -256,15 +271,9 @@ def suite_algebra_laws(seed: int, triples: int = 500) -> SuiteResult:
         right = multiply(h, f.scale(a) + g.scale(b), pm) == (
             multiply(h, f, pm).scale(a) + multiply(h, g, pm).scale(b)
         )
-        if not (assoc and left and right):
-            return SuiteResult(
-                "associativity and bilinearity",
-                passed,
-                triples,
-                f"triple {index} on {instance.describe()}",
-            )
-        passed += 1
-    return SuiteResult("associativity and bilinearity", passed, triples)
+        return instance, None if assoc and left and right else f"a={a}, b={b}"
+
+    return _run_suite("associativity and bilinearity", seed, triples, subject)
 
 
 def _random_member(rng: random.Random, description):
@@ -288,189 +297,127 @@ def suite_commutant_commutes(seed: int, pairs: int = 500) -> SuiteResult:
     commutant of the full function algebra: the commutant of a coarse
     subalgebra is larger and genuinely noncommutative.
     """
-    rng = random.Random(seed)
-    passed = 0
-    for index in range(pairs):
+
+    def subject(rng: random.Random) -> Outcome:
         instance = random_instance(rng)
         view = _views(instance)[0]
         description = commutant_description(view, instance.refined_map)
         f = _random_member(rng, description)
         g = _random_member(rng, description)
         pm = instance.refined_map
-        if multiply(f, g, pm) != multiply(g, f, pm):
-            return SuiteResult(
-                "commutant members commute",
-                passed,
-                pairs,
-                f"pair {index} on {instance.describe()}",
-            )
-        passed += 1
-    return SuiteResult("commutant members commute", passed, pairs)
+        commute = multiply(f, g, pm) == multiply(g, f, pm)
+        return instance, None if commute else "the pair does not commute"
+
+    return _run_suite("commutant members commute", seed, pairs, subject)
 
 
 def suite_noncommuting_witness(seed: int, count: int = 500) -> SuiteResult:
     """Every non-member is caught by a coarse indicator generator."""
-    rng = random.Random(seed)
-    passed = 0
-    produced = 0
-    attempts = 0
-    while produced < count and attempts < count * 50:
-        attempts += 1
+
+    def subject(rng: random.Random) -> Outcome:
         instance = random_instance(rng)
         view = _views(instance)[-1]
         pm = instance.refined_map
         description = commutant_description(view, pm)
         bad_degrees = [n for n in range(1, 7) if description.sep(n)]
         if not bad_degrees:
-            continue
+            return None
         n = rng.choice(bad_degrees)
         forbidden = sorted(description.sep(n))
         values = [Fraction(0)] * description.piece_count
         values[rng.choice(forbidden)] = Fraction(rng.randint(1, 3))
         elem = _random_member(rng, description) + crossed_element({n: values})
-        produced += 1
         witness = find_noncommuting_witness(elem, view, pm)
         if witness is None:
-            return SuiteResult(
-                "non-members yield generator witnesses",
-                passed,
-                count,
-                f"subject {produced}: no witness on {instance.describe()}",
-            )
+            return instance, "no witness"
         g = generator_element(view, witness)
         if multiply(elem, g, pm) == multiply(g, elem, pm):
-            return SuiteResult(
-                "non-members yield generator witnesses",
-                passed,
-                count,
-                f"subject {produced}: witness {witness} commutes on {instance.describe()}",
-            )
-        passed += 1
-    return SuiteResult("non-members yield generator witnesses", passed, produced)
+            return instance, f"witness {witness} commutes"
+        return instance, None
+
+    return _run_suite("non-members yield generator witnesses", seed, count, subject)
 
 
 def suite_refinement_monotone(seed: int, instances: int = 400) -> SuiteResult:
-    """Refining only grows separation sets, in the exact decomposed shape."""
-    rng = random.Random(seed)
-    passed = 0
-    produced = 0
-    attempts = 0
-    while produced < instances and attempts < instances * 50:
-        attempts += 1
+    """Refining only grows separation sets, in the exact decomposed shape.
+
+    At every degree the refined separation set is the coarse one plus the
+    fine pieces that ``commutant_difference`` forbids there.
+    """
+
+    def subject(rng: random.Random) -> Outcome:
         instance = random_instance(rng)
         if not instance.refined:
-            continue
-        produced += 1
+            return None
         refinement, bm, rm = instance.refinement, instance.base_map, instance.refined_map
         coarse_view = SubalgebraView.of_refinement(refinement)
-        rcc = refined_cycle_classes(refinement, bm, rm)
+        difference = commutant_difference(refinement, bm, rm)
         for n in range(-WINDOW, WINDOW + 1):
             fine = refined_sep(refinement, bm, rm, n)
-            coarse = sep_set(coarse_view, rm, n)
-            extra = frozenset()
-            for (k, l), pieces in rcc.tilde_classes.items():
-                if n % k == 0 and (n // k) % l != 0:
-                    extra |= pieces
-            if not (coarse <= fine and fine == coarse | extra):
-                return SuiteResult(
-                    "refinement grows separation sets",
-                    passed,
-                    instances,
-                    f"instance {produced}: n={n} on {instance.describe()}",
-                )
-        passed += 1
-    return SuiteResult("refinement grows separation sets", passed, produced)
+            if fine != sep_set(coarse_view, rm, n) | difference.forbidden_at(n):
+                return instance, f"n={n}"
+        return instance, None
+
+    return _run_suite("refinement grows separation sets", seed, instances, subject)
+
+
+def _lift_stream_failure(refinement: Refinement, base_map: PieceMap, expected: int) -> str | None:
+    seen = set()
+    for lift in enumerate_refined_maps(refinement, base_map):
+        seen.add(lift.perm)
+        if not validate_refined_invariance(refinement, base_map, lift).ok:
+            return f"invalid lift {list(lift.perm)}"
+        rcc = refined_cycle_classes(refinement, base_map, lift)
+        for child, l in enumerate(rcc.multiplier_of):
+            subs, points = refinement.kind_split[refinement.parent_of[child]]
+            bound = len(points) if child in points else len(subs)
+            if l > max(bound, 1):
+                return f"multiplier {l} exceeds bound {bound} on piece {child}"
+    if len(seen) != expected:
+        return f"stream yielded {len(seen)} distinct lifts, expected {expected}"
+    return None
 
 
 def suite_enumeration(seed: int, instances: int = 40) -> SuiteResult:
     """Lift streams are complete, valid, duplicate-free, and bounded."""
-    rng = random.Random(seed)
-    passed = 0
-    produced = 0
-    attempts = 0
-    while produced < instances and attempts < instances * 50:
-        attempts += 1
+
+    def subject(rng: random.Random) -> Outcome:
         instance = random_instance(rng, max_pieces=9)
         if not instance.refined:
-            continue
-        refinement, bm = instance.refinement, instance.base_map
-        expected = count_refined_maps(refinement, bm)
+            return None
+        expected = count_refined_maps(instance.refinement, instance.base_map)
         if not 0 < expected <= 5000:
-            continue
-        produced += 1
-        seen = set()
-        failure = None
-        base_periods = None
-        for lift in enumerate_refined_maps(refinement, bm):
-            seen.add(lift.perm)
-            if not validate_refined_invariance(refinement, bm, lift).ok:
-                failure = f"invalid lift {list(lift.perm)}"
-                break
-            rcc = refined_cycle_classes(refinement, bm, lift)
-            refined_pieces = refinement.refined.pieces
-            for child, l in enumerate(rcc.multiplier_of):
-                parent = refinement.parent_of[child]
-                kids = refinement.children_of(parent)
-                points = sum(
-                    1 for c in kids if refined_pieces[c].kind is PieceKind.POINT
-                )
-                bound = points if refined_pieces[child].kind is PieceKind.POINT else len(kids) - points
-                if l > max(bound, 1):
-                    failure = f"multiplier {l} exceeds bound {bound} on piece {child}"
-                    break
-            if failure:
-                break
-        if failure is None and len(seen) != expected:
-            failure = f"stream yielded {len(seen)} distinct lifts, expected {expected}"
-        if failure:
-            return SuiteResult(
-                "lift enumeration complete and valid",
-                passed,
-                instances,
-                f"instance {produced}: {failure} on {instance.describe()}",
-            )
-        passed += 1
-    return SuiteResult("lift enumeration complete and valid", passed, produced)
+            return None
+        return instance, _lift_stream_failure(instance.refinement, instance.base_map, expected)
+
+    return _run_suite("lift enumeration complete and valid", seed, instances, subject)
 
 
 def suite_profiles(seed: int, instances: int = 40) -> SuiteResult:
     """Profiles of valid lifts are admissible; admissible profiles are realized."""
-    rng = random.Random(seed)
-    passed = 0
-    produced = 0
-    attempts = 0
-    while produced < instances and attempts < instances * 60:
-        attempts += 1
+
+    def subject(rng: random.Random) -> Outcome:
         instance = random_instance(rng)
         if not instance.refined:
-            continue
+            return None
         refinement, bm, rm = instance.refinement, instance.base_map, instance.refined_map
         base = refinement.base
         rcc = refined_cycle_classes(refinement, bm, rm)
         checked_one = False
-        failure = None
         for cycle in perm_cycles(bm.perm):
             if base.pieces[cycle[0]].kind is PieceKind.POINT:
                 continue
-            counts = {len(refinement.children_of(b)) for b in cycle}
-            if len(counts) != 1:
+            if len({len(refinement.children_of(b)) for b in cycle}) != 1:
                 continue
             profile = pi_profile(rcc, cycle)
             checked_one = True
             if not check_pi(profile).ok:
-                failure = f"inadmissible profile {profile} from orbit {cycle}"
-                break
-        if not checked_one:
-            continue
-        produced += 1
-        if failure:
-            return SuiteResult(
-                "lift profiles are admissible",
-                passed,
-                instances,
-                f"instance {produced}: {failure} on {instance.describe()}",
-            )
-        passed += 1
+                return instance, f"inadmissible profile {profile} from orbit {cycle}"
+        return (instance, None) if checked_one else None
+
+    result = _run_suite("lift profiles are admissible", seed, instances, subject, attempts=60)
+    if result.counterexample:
+        return result
     # deterministic converse at small scale
     for k, p in product((1, 2), (1, 2)):
         for profile in _admissible_profiles(k, p):
@@ -478,13 +425,9 @@ def suite_profiles(seed: int, instances: int = 40) -> SuiteResult:
             rcc = refined_cycle_classes(refinement, bm, rm)
             back = pi_profile(rcc, range(k))
             if back.sorted_items() != profile.sorted_items():
-                return SuiteResult(
-                    "lift profiles are admissible",
-                    passed,
-                    produced,
-                    f"realize round trip failed for k={k}, p={p}, {profile}",
-                )
-    return SuiteResult("lift profiles are admissible", passed, produced)
+                result.counterexample = f"realize round trip failed for k={k}, p={p}, {profile}"
+                return result
+    return result
 
 
 def _admissible_profiles(k: int, p: int) -> list[PiProfile]:

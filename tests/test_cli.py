@@ -1,5 +1,8 @@
 """The command line front end, driven through main(argv)."""
 import json
+import time
+
+import pytest
 
 from crossed_commutant.cli import main
 
@@ -187,3 +190,58 @@ def test_cases_json_documents_parse(capsys):
     payload = json.loads(out)
     assert len(payload) == 7
     assert payload["one-interval-swap"]["refined_perm"] == [1, 0, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["atlas"],
+        ["atlas", "--points", "-1"],
+        ["atlas", "--points", "two"],
+        ["atlas", "--points", "2", "--base-n", "-1"],
+        ["atlas", "--points", "2", "--base-n", "0"],
+        ["atlas", "--points", "4"],
+        ["atlas", "--points", "1", "--max-lifts", "0"],
+        ["report", "--builtin", "one-interval-swap", "--window", "0"],
+        ["report", "--builtin", "one-interval-swap", "--window", "x"],
+        ["report", "--builtin", "nope"],
+        ["validate"],
+        ["validate", "--builtin", "one-interval-swap", "--window", "-3"],
+        ["selftest", "--seed", "x"],
+        ["selftest", "--iterations", "1.5"],
+        ["cases", "--bogus"],
+    ],
+)
+def test_bad_arguments_exit_two_without_traceback(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects while parsing
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.strip()
+
+
+@pytest.mark.parametrize("exponent", ["999999999", "-999999999"])
+@pytest.mark.parametrize("field", ["jump_points", "additions"])
+def test_huge_decimal_exponent_exits_two_quickly(capsys, tmp_path, field, exponent):
+    value = f"1e{exponent}"
+    doc = {"type": "real_line", "jump_points": [value], "perm": [0, 1, 2]}
+    if field == "additions":
+        doc = {
+            "type": "real_line",
+            "jump_points": [],
+            "additions": {"0": [value]},
+            "base_perm": [0],
+            "refined_perm": [0, 1, 2],
+        }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"{field}" in err and "exponent" in err

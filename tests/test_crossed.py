@@ -19,7 +19,6 @@ from crossed_commutant import (
     rational_rank,
     sigma_tilde_pow,
 )
-from crossed_commutant.crossed import graded_component_dim
 from crossed_commutant.errors import PartitionMismatch
 
 
@@ -159,11 +158,6 @@ def test_rational_rank_exact():
     assert rational_rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)]]
     assert rational_rank(rows) == 1
-
-
-def test_graded_component_dim_counts_distinct_pieces():
-    assert graded_component_dim((0, 1, 1, 2)) == 3
-    assert graded_component_dim(()) == 0
 
 
 def test_swap_instance_is_not_strongly_graded():

@@ -159,3 +159,17 @@ def test_c1_diagnostic_machine_agrees():
         assert diag.formula == c1_subcase_count(k)
         assert diag.machine == diag.formula
         assert diag.agree
+
+
+@pytest.mark.parametrize("points, base_n", [(4, None), (2, 0)])
+def test_atlas_refuses_before_classifying_any_lift(points, base_n, monkeypatch):
+    import crossed_commutant.enumeration as enumeration
+
+    calls = []
+    real = enumeration.commutant_difference
+    monkeypatch.setattr(
+        enumeration, "commutant_difference", lambda *args: calls.append(args) or real(*args)
+    )
+    with pytest.raises(ScaleExceeded):
+        classify_cases(atlas_instances(points, base_n=base_n))
+    assert calls == []

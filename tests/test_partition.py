@@ -31,6 +31,13 @@ def test_as_fraction_accepts_exact_forms():
     assert as_fraction(Fraction(2, 5)) == Fraction(2, 5)
 
 
+@pytest.mark.parametrize("text", ["1e4301", "-1E-4301", "1e1_000_000_000"])
+def test_as_fraction_refuses_huge_decimal_exponents(text):
+    with pytest.raises(ValueError, match="exponent"):
+        as_fraction(text)
+    assert as_fraction("1e-4300") == Fraction(1, 10**4300)
+
+
 def test_as_fraction_rejects_floats():
     with pytest.raises(TypeError):
         as_fraction(0.5)
@@ -85,6 +92,15 @@ def test_refine_one_interval_with_two_points():
     assert ref.parent_of == (0, 0, 0, 0, 0)
     assert ref.children_of(0) == (0, 1, 2, 3, 4)
     assert not ref.is_identity
+
+
+def test_kind_split_separates_points_from_the_other_children():
+    base = build_real_line_partition(["0"])
+    ref = refine_real_line(base, {0: ["-1"], 1: ["1"]})
+    # pieces: I_0^1, I_0^2, I_1^1, I_1^2, {s_1}, {t_1}, {s_2}
+    assert ref.kind_split == (((0, 1), (4,)), ((2, 3), (6,)), ((), (5,)))
+    cells = refine_abstract(build_abstract_partition(2), {0: 2})
+    assert cells.kind_split == (((0, 1), ()), ((2,), ()))
 
 
 def test_refine_two_intervals_keeps_old_points():
