@@ -266,6 +266,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             raise InstanceFormatError(
                 [f"CROSSED_COMMUTANT_SEED must be an integer, got {env_seed!r}"]
             ) from None
+    if args.iterations < 1:
+        raise InstanceFormatError(["--iterations must be a positive integer"])
     results = run_selftest(seed, args.iterations)
     failed = False
     print(f"seed {seed}, {args.iterations} base iterations")

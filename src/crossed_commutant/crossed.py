@@ -9,14 +9,15 @@ inverse image of P.
 An element of the crossed product is a finitely supported sum of terms
 "vector at integer degree n"; multiplication twists the right factor by the
 action before multiplying pointwise and adds the degrees.  Everything is
-exact: coefficients are ``fractions.Fraction`` throughout and span
-comparisons are ranks over the rationals, never floating point.
+exact: coefficients are ``fractions.Fraction`` throughout, never floating
+point.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .dynamics import PieceMap, perm_power
 from .errors import PartitionMismatch
@@ -237,62 +238,41 @@ class GradingResult:
     detail: str
 
 
-def _signed_order(limit: int) -> list[int]:
-    order = [0]
-    for i in range(1, limit + 1):
-        order.extend((i, -i))
-    return order
-
-
-def _window_pairs(n_max: int) -> Iterator[tuple[int, int]]:
-    order = _signed_order(n_max)
-    for radius in range(n_max + 1):
-        for n in order:
-            if abs(n) > radius:
-                continue
-            for m in order:
-                if abs(m) > radius or max(abs(n), abs(m)) != radius:
-                    continue
-                yield n, m
-
-
 def is_strongly_graded(
     description: "CommutantDescription", piece_map: PieceMap, degree_window: int
 ) -> GradingResult:
     """Decide within a degree window whether products of graded components fill.
 
     For every degree pair (n, m) with abs(n), abs(m) <= degree_window, the
-    span of products of basis monomials from degrees n and m is compared,
-    by exact rank over the rationals, against the full component at degree
-    n + m.  Pairs are scanned outward from zero so the first witness is the
-    smallest one.
+    products of basis monomials from degrees n and m are the unit vectors on
+    the pieces p of A(n) whose n-th preimage lies in A(m).  One product, of
+    the indicator of A(n) at degree n with that of A(m) at degree m, has
+    exactly that support, so its size is the span rank, compared against the
+    full component A(n + m).  Pairs are scanned outward from zero so the
+    first witness is the smallest one.
     """
     size = piece_map.size
-    for n, m in _window_pairs(degree_window):
-        allowed_n = sorted(description.allowed(n))
-        allowed_m = sorted(description.allowed(m))
-        target = sorted(description.allowed(n + m))
-        rows: list[Sequence[Fraction]] = []
-        for p in allowed_n:
-            left = indicator_element(size, (p,), n)
-            for q in allowed_m:
-                product = multiply(left, indicator_element(size, (q,), m), piece_map)
-                vec = product.term(n + m)
-                if vec is None:
-                    continue
-                if not vec.support() <= frozenset(target):
-                    raise AssertionError(
-                        "product of commutant components left the commutant"
-                    )
-                rows.append(vec.values)
-        rank = rational_rank(rows)
-        if rank < len(target):
+    # 0, 1, -1, 2, -2, ...; the stable sort keeps that order within a radius
+    order = sorted(range(-degree_window, degree_window + 1), key=lambda n: (abs(n), -n))
+    pairs = sorted(itertools.product(order, repeat=2), key=lambda nm: max(map(abs, nm)))
+    for n, m in pairs:
+        product = multiply(
+            indicator_element(size, description.allowed(n), n),
+            indicator_element(size, description.allowed(m), m),
+            piece_map,
+        )
+        vec = product.term(n + m)
+        spanned = frozenset() if vec is None else vec.support()
+        target = description.allowed(n + m)
+        if not spanned <= target:
+            raise AssertionError("product of commutant components left the commutant")
+        if len(spanned) < len(target):
             return GradingResult(
                 strongly_graded=False,
                 witness=(n, m),
                 window=degree_window,
                 detail=(
-                    f"products from degrees {n} and {m} span rank {rank} "
+                    f"products from degrees {n} and {m} span rank {len(spanned)} "
                     f"inside a component of dimension {len(target)}"
                 ),
             )

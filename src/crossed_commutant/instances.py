@@ -76,6 +76,21 @@ def _expect_int_list(value: Any, name: str, problems: list[str]) -> list[int] | 
     return value
 
 
+def _perm_entries(
+    data: Mapping[str, Any], key: str, count: int, problems: list[str]
+) -> list[int] | None:
+    """The perm list under ``key`` if it names exactly ``count`` pieces."""
+    raw = data.get(key)
+    if raw is None:
+        problems.append(f"{key}: missing")
+        return None
+    ids = _expect_int_list(raw, key, problems)
+    if ids is not None and len(ids) != count:
+        problems.append(f"{key}: expected {count} entries, got {len(ids)}")
+        return None
+    return ids
+
+
 def parse_instance(data: Mapping[str, Any], default_window: int = DEFAULT_WINDOW) -> Instance:
     if not isinstance(data, Mapping):
         raise InstanceFormatError(["top level: expected a JSON object"])
@@ -136,11 +151,14 @@ def parse_instance(data: Mapping[str, Any], default_window: int = DEFAULT_WINDOW
                         problems.append(f"additions: {exc}")
     else:
         count = data.get("pieces")
+        refined_mode = "cells" in data
+        perm_key = "base_perm" if refined_mode else "perm"
+        # piece counts are bare integers: hold them to the perm lists that
+        # must name every piece before building anything that large
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             problems.append("pieces: expected a positive integer piece count")
-        else:
+        elif _perm_entries(data, perm_key, count, problems) is not None:
             base = build_abstract_partition(count)
-        refined_mode = "cells" in data
         if refined_mode and base is not None:
             raw_cells = data.get("cells")
             if not isinstance(raw_cells, Mapping):
@@ -157,7 +175,11 @@ def parse_instance(data: Mapping[str, Any], default_window: int = DEFAULT_WINDOW
                         problems.append(f"cells[{key}]: expected an integer")
                         continue
                     cells[pid] = value
-                if not problems:
+                sizes = [cells.get(i, 1) for i in range(count)]
+                if not problems and (
+                    min(sizes) < 1
+                    or _perm_entries(data, "refined_perm", sum(sizes), problems) is not None
+                ):
                     try:
                         refinement = refine_abstract(base, cells)
                     except EngineError as exc:
@@ -175,17 +197,8 @@ def parse_instance(data: Mapping[str, Any], default_window: int = DEFAULT_WINDOW
         refinement = identity_refinement(base)
 
     def build_map(key: str, partition: Partition) -> PieceMap | None:
-        raw = data.get(key)
-        if raw is None:
-            problems.append(f"{key}: missing")
-            return None
-        ids = _expect_int_list(raw, key, problems)
+        ids = _perm_entries(data, key, partition.piece_count, problems)
         if ids is None:
-            return None
-        if len(ids) != partition.piece_count:
-            problems.append(
-                f"{key}: expected {partition.piece_count} entries, got {len(ids)}"
-            )
             return None
         try:
             return PieceMap(partition, tuple(ids))

@@ -1,6 +1,11 @@
 """The command line front end, driven through main(argv)."""
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +217,8 @@ def test_cases_json_documents_parse(capsys):
         ["selftest", "--seed", "x"],
         ["selftest", "--iterations", "1.5"],
         ["cases", "--bogus"],
+        ["selftest", "--iterations", "0"],
+        ["selftest", "--iterations", "-5"],
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(capsys, argv):
@@ -245,3 +252,40 @@ def test_huge_decimal_exponent_exits_two_quickly(capsys, tmp_path, field, expone
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert f"{field}" in err and "exponent" in err
+
+
+def _cap_memory():
+    limit = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "abstract", "pieces": 100_000_000, "perm": [0]},
+        {
+            "type": "abstract",
+            "pieces": 2,
+            "cells": {"0": 1_000_000_000},
+            "base_perm": [0, 1],
+            "refined_perm": [0, 1, 2],
+        },
+    ],
+    ids=["pieces", "cells"],
+)
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_huge_piece_counts_exit_two_before_building(tmp_path, command, doc):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # a child that starts building the partition fails on the memory cap or
+    # the timeout instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossed_commutant.cli", command, str(path)],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=_cap_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "entries, got" in proc.stderr
+    assert "Traceback" not in proc.stderr

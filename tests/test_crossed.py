@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import crossed_commutant.crossed as crossed
 from crossed_commutant import (
     CoefficientVector,
+    CommutantDescription,
     CrossedElement,
     PieceMap,
     SubalgebraView,
@@ -19,7 +21,9 @@ from crossed_commutant import (
     rational_rank,
     sigma_tilde_pow,
 )
+from crossed_commutant.crossed import GradingResult
 from crossed_commutant.errors import PartitionMismatch
+from crossed_commutant.selftest import random_instance
 
 
 def swap_map():
@@ -176,3 +180,152 @@ def test_identity_instance_is_strongly_graded():
     res = is_strongly_graded(desc, pm, 3)
     assert res.strongly_graded
     assert res.witness is None
+
+
+def _scan_order(window):
+    """Degree pairs by radius, each radius in the order 0, 1, -1, 2, -2, ..."""
+    order = [0]
+    for i in range(1, window + 1):
+        order.extend((i, -i))
+    for radius in range(window + 1):
+        for n in order:
+            for m in order:
+                if max(abs(n), abs(m)) == radius:
+                    yield n, m
+
+
+def _rank_oracle(description, piece_map, window, products):
+    """The grading check done the long way.
+
+    Every product of a basis monomial of degree n with one of degree m is a
+    row, and ``rational_rank`` measures their span.  ``products`` caches the
+    products of one piece map, so that views and windows share them.
+    """
+    size = piece_map.size
+
+    def product(p, n, q, m):
+        key = (p, n, q, m)
+        if key not in products:
+            left = indicator_element(size, (p,), n)
+            right = indicator_element(size, (q,), m)
+            products[key] = multiply(left, right, piece_map).term(n + m)
+        return products[key]
+
+    for n, m in _scan_order(window):
+        target = description.allowed(n + m)
+        rows = []
+        for p in sorted(description.allowed(n)):
+            for q in sorted(description.allowed(m)):
+                vec = product(p, n, q, m)
+                if vec is None:
+                    continue
+                if not vec.support() <= target:
+                    raise AssertionError("product of commutant components left the commutant")
+                rows.append(vec.values)
+        rank = rational_rank(rows)
+        if rank < len(target):
+            detail = (
+                f"products from degrees {n} and {m} span rank {rank} "
+                f"inside a component of dimension {len(target)}"
+            )
+            return GradingResult(False, (n, m), window, detail)
+    return GradingResult(
+        True, None, window, "every degree pair in the window has full product span"
+    )
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except AssertionError as exc:
+        return f"AssertionError: {exc}"
+
+
+def _assert_matches_oracle(description, piece_map, products):
+    for window in range(4):
+        expected = _outcome(_rank_oracle, description, piece_map, window, products)
+        assert _outcome(is_strongly_graded, description, piece_map, window) == expected
+
+
+def _is_union_of_orbits(pieces, piece_map):
+    return all(piece_map.perm[p] in pieces for p in pieces)
+
+
+def test_grading_matches_the_rank_oracle_on_seeded_instances():
+    rng = random.Random(3109)
+    verdicts = set()
+    for _ in range(1000):
+        instance = random_instance(rng, max_pieces=15)
+        piece_map = instance.refined_map
+        views = [SubalgebraView.identity(instance.refinement.refined)]
+        if instance.refined:
+            views.append(SubalgebraView.of_refinement(instance.refinement))
+        products = {}
+        for view in views:
+            description = commutant_description(view, piece_map)
+            _assert_matches_oracle(description, piece_map, products)
+            verdicts.add(is_strongly_graded(description, piece_map, 3).strongly_graded)
+    assert verdicts == {True, False}
+
+
+def test_grading_matches_the_rank_oracle_on_hand_built_descriptions():
+    rng = random.Random(3110)
+    not_orbit_unions = 0
+    for _ in range(300):
+        instance = random_instance(rng)
+        piece_map = instance.refined_map
+        view = SubalgebraView.identity(instance.refinement.refined)
+        grouped = {}
+        for p in range(piece_map.size):
+            k = rng.choice((None, 1, 1, 2, 3, 4))
+            if k is not None:
+                grouped.setdefault(k, set()).add(p)
+        class_pieces = {k: frozenset(v) for k, v in grouped.items()}
+        if not all(_is_union_of_orbits(v, piece_map) for v in class_pieces.values()):
+            not_orbit_unions += 1
+        description = CommutantDescription(view=view, class_pieces=class_pieces)
+        _assert_matches_oracle(description, piece_map, {})
+    assert not_orbit_unions > 100
+
+
+class _PerDegree:
+    """Allowed sets given degree by degree: all three pieces up to |n| = 2, else piece 0.
+
+    With class keys a product can only leave the commutant once the (1, -1)
+    pair has already come up short, so the check is reached this way.
+    """
+
+    def allowed(self, n):
+        return frozenset(range(3)) if abs(n) <= 2 else frozenset({0})
+
+
+def test_a_product_leaving_the_commutant_raises_like_the_oracle():
+    part = build_real_line_partition(["0"])
+    pm = PieceMap.identity(part)
+    description = _PerDegree()
+    assert is_strongly_graded(description, pm, 1).strongly_graded
+    _assert_matches_oracle(description, pm, {})
+    with pytest.raises(AssertionError, match="left the commutant"):
+        is_strongly_graded(description, pm, 2)
+
+
+@pytest.mark.parametrize("window", [0, 1, 3])
+def test_grading_takes_one_product_per_degree_pair(monkeypatch, window):
+    calls = {"multiply": 0, "rational_rank": 0}
+
+    def counted(name):
+        original = getattr(crossed, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(crossed, "multiply", counted("multiply"))
+    monkeypatch.setattr(crossed, "rational_rank", counted("rational_rank"))
+    part = build_real_line_partition(["0", "1", "2"])
+    pm = PieceMap.identity(part)
+    description = commutant_description(SubalgebraView.identity(part), pm)
+    assert is_strongly_graded(description, pm, window).strongly_graded
+    assert calls == {"multiply": (2 * window + 1) ** 2, "rational_rank": 0}
