@@ -30,6 +30,7 @@ from .errors import EngineError, InstanceFormatError, ScaleExceeded
 from .fixtures import DESCRIPTIONS, builtin_instance, builtin_names
 from .instances import (
     DEFAULT_WINDOW,
+    MAX_WINDOW,
     Instance,
     load_instance,
     parse_instance,
@@ -73,8 +74,10 @@ def _load(args: argparse.Namespace) -> Instance:
     else:
         instance = load_instance(args.instance)
     if args.window is not None:
-        if args.window < 1:
-            raise InstanceFormatError(["--window must be a positive integer"])
+        if not 1 <= args.window <= MAX_WINDOW:
+            raise InstanceFormatError(
+                [f"--window must be a positive integer of at most {MAX_WINDOW}"]
+            )
         instance.window = args.window
     return instance
 

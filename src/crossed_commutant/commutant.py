@@ -291,13 +291,18 @@ def commutant_difference(
     Both live inside the crossed product over the refined partition; the
     refined commutant is always contained in the coarse one, and the
     per-degree gap is exactly the union described by ``forbidden_at``.
+    Both descriptions are read off the (k, l) classes: a fine piece has
+    coarse period k once the lift is checked, and fine period k*l.
     """
     _require_lift(refinement, base_map, refined_map)
     rcc = refined_cycle_classes(refinement, base_map, refined_map)
-    coarse = commutant_description(SubalgebraView.of_refinement(refinement), refined_map)
-    refined = commutant_description(SubalgebraView.identity(refinement.refined), refined_map)
+    by_parent_period: dict[int, frozenset[int]] = {}
+    for (k, _), pieces in rcc.tilde_classes.items():
+        by_parent_period[k] = by_parent_period.get(k, frozenset()) | pieces
     return DifferenceDescription(
         tilde_classes=dict(rcc.tilde_classes),
-        coarse=coarse,
-        refined=refined,
+        coarse=CommutantDescription(SubalgebraView.of_refinement(refinement), by_parent_period),
+        refined=CommutantDescription(
+            SubalgebraView.identity(refinement.refined), rcc.refined.classes
+        ),
     )

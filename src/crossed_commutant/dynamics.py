@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -109,6 +111,22 @@ class PieceMap:
     @property
     def size(self) -> int:
         return len(self.perm)
+
+    @cached_property
+    def cycle_classification(self) -> CycleClassification:
+        """Pieces grouped by period, walked once per map; shared, so read-only."""
+        periods = cycle_lengths(self.perm)
+        grouped: dict[int, set[int]] = {}
+        for pid, k in enumerate(periods):
+            grouped.setdefault(k, set()).add(pid)
+        return CycleClassification(
+            period_of=periods,
+            classes=MappingProxyType({k: frozenset(v) for k, v in sorted(grouped.items())}),
+        )
+
+    def __getstate__(self) -> dict:
+        # pickle and deepcopy carry the fields only; the cache is rebuilt on demand
+        return {"partition": self.partition, "perm": self.perm}
 
 
 def _unchecked_piece_map(partition: Partition, perm: tuple[int, ...]) -> PieceMap:
@@ -252,14 +270,7 @@ class CycleClassification:
 
 
 def cycle_classes(piece_map: PieceMap) -> CycleClassification:
-    periods = cycle_lengths(piece_map.perm)
-    grouped: dict[int, set[int]] = {}
-    for pid, k in enumerate(periods):
-        grouped.setdefault(k, set()).add(pid)
-    return CycleClassification(
-        period_of=periods,
-        classes={k: frozenset(v) for k, v in sorted(grouped.items())},
-    )
+    return piece_map.cycle_classification
 
 
 @dataclass(frozen=True)

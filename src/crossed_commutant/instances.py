@@ -40,6 +40,7 @@ from .partition import (
 )
 
 DEFAULT_WINDOW = 6
+MAX_WINDOW = 10_000  # report tabulates every degree in -window..window
 
 
 @dataclass
@@ -186,8 +187,8 @@ def parse_instance(data: Mapping[str, Any], default_window: int = DEFAULT_WINDOW
                         problems.append(f"cells: {exc}")
 
     window = data.get("window", default_window)
-    if not isinstance(window, int) or isinstance(window, bool) or window < 1:
-        problems.append("window: expected a positive integer")
+    if not isinstance(window, int) or isinstance(window, bool) or not 1 <= window <= MAX_WINDOW:
+        problems.append(f"window: expected a positive integer of at most {MAX_WINDOW}")
         window = default_window
 
     if problems or base is None:

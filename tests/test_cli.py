@@ -197,6 +197,10 @@ def test_cases_json_documents_parse(capsys):
     assert payload["one-interval-swap"]["refined_perm"] == [1, 0, 2, 3, 4]
 
 
+HUGE_WINDOW = "<a document with window 10^9>"
+HUGE_WINDOW_DOC = {"type": "abstract", "pieces": 1, "perm": [0], "window": 1_000_000_000}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -211,6 +215,9 @@ def test_cases_json_documents_parse(capsys):
         ["atlas", "--points", "1", "--max-lifts", "0"],
         ["report", "--builtin", "one-interval-swap", "--window", "0"],
         ["report", "--builtin", "one-interval-swap", "--window", "x"],
+        ["report", "--builtin", "one-interval-swap", "--window", "1000000000"],
+        ["report", "--builtin", "one-interval-swap", "--window", "10001"],
+        ["report", HUGE_WINDOW],
         ["report", "--builtin", "nope"],
         ["validate"],
         ["validate", "--builtin", "one-interval-swap", "--window", "-3"],
@@ -221,7 +228,10 @@ def test_cases_json_documents_parse(capsys):
         ["selftest", "--iterations", "-5"],
     ],
 )
-def test_bad_arguments_exit_two_without_traceback(capsys, argv):
+def test_bad_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
+    path = tmp_path / "huge-window.json"
+    path.write_text(json.dumps(HUGE_WINDOW_DOC))
+    argv = [str(path) if arg == HUGE_WINDOW else arg for arg in argv]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects while parsing
@@ -259,6 +269,19 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _run_capped(*argv):
+    """The CLI in a child process under a 10 s timeout and a 512 MB cap."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # a child that starts building or tabulating something huge fails on the
+    # memory cap or the timeout instead of stalling the suite
+    return subprocess.run(
+        [sys.executable, "-m", "crossed_commutant.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=_cap_memory,
+    )
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -277,15 +300,22 @@ def _cap_memory():
 def test_huge_piece_counts_exit_two_before_building(tmp_path, command, doc):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    # a child that starts building the partition fails on the memory cap or
-    # the timeout instead of stalling the suite
-    proc = subprocess.run(
-        [sys.executable, "-m", "crossed_commutant.cli", command, str(path)],
-        capture_output=True, text=True, env=env, timeout=10, preexec_fn=_cap_memory,
-    )
+    proc = _run_capped(command, str(path))
     assert proc.returncode == 2, proc.stderr
     assert "entries, got" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("source", ["document", "flag"])
+def test_huge_window_exits_two_before_tabulating(tmp_path, source):
+    path = tmp_path / "huge-window.json"
+    if source == "document":
+        path.write_text(json.dumps(HUGE_WINDOW_DOC))
+        extra = []
+    else:
+        path.write_text(json.dumps({k: v for k, v in HUGE_WINDOW_DOC.items() if k != "window"}))
+        extra = ["--window", "1000000000"]
+    proc = _run_capped("report", str(path), *extra)
+    assert proc.returncode == 2, proc.stderr
+    assert "at most 10000" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -6,6 +6,7 @@ import pytest
 from crossed_commutant import (
     PieceMap,
     SubalgebraView,
+    atlas_instances,
     brute_force_sep,
     build_real_line_partition,
     commutant_description,
@@ -176,3 +177,38 @@ def test_sep_formula_equals_oracle_on_random_instances():
                 assert sep_set(view, inst.refined_map, n) == brute_force_sep(
                     view, inst.refined_map, n
                 )
+
+
+def _refined_draws(count, seed):
+    rng = random.Random(seed)
+    drawn = 0
+    while drawn < count:
+        inst = random_instance(rng)
+        if inst.refined:
+            drawn += 1
+            yield inst.refinement, inst.base_map, inst.refined_map
+
+
+def _atlas_lifts():
+    for m in range(4):
+        yield from atlas_instances(m)
+
+
+@pytest.mark.parametrize(
+    "instances, expected",
+    [(_atlas_lifts, 1 + 2 + 20 + 264), (lambda: _refined_draws(500, 23), 500)],
+    ids=["atlas", "random"],
+)
+def test_difference_descriptions_equal_the_general_views(instances, expected):
+    seen = 0
+    for ref, bm, rm in instances():
+        diff = commutant_difference(ref, bm, rm)
+        coarse = commutant_description(SubalgebraView.of_refinement(ref), rm)
+        refined = commutant_description(SubalgebraView.identity(ref.refined), rm)
+        assert diff.coarse == coarse
+        assert diff.refined == refined
+        # same class order too, so any text built by iterating them is unchanged
+        assert list(diff.coarse.class_pieces) == list(coarse.class_pieces)
+        assert list(diff.refined.class_pieces) == list(refined.class_pieces)
+        seen += 1
+    assert seen == expected

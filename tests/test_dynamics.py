@@ -1,4 +1,6 @@
 """Piece maps, invariance validation, cycle classes, and profiles."""
+import copy
+import pickle
 import random
 from itertools import permutations
 
@@ -130,6 +132,40 @@ def test_cycle_classes_by_period():
     cls = cycle_classes(pm)
     assert cls.period_of == (2, 2, 1, 2, 2)
     assert cls.classes == {1: frozenset({2}), 2: frozenset({0, 1, 3, 4})}
+
+
+def _classes_from_cycles(perm):
+    grouped = {}
+    for cycle in perm_cycles(perm):
+        grouped.setdefault(len(cycle), set()).update(cycle)
+    return {k: frozenset(v) for k, v in grouped.items()}
+
+
+def test_cycle_classes_match_cycles_on_fresh_maps():
+    rng = random.Random(4)
+    for _ in range(300):
+        size = rng.randint(1, 12)
+        perm = list(range(size))
+        rng.shuffle(perm)
+        pm = PieceMap(build_abstract_partition(size), tuple(perm))
+        cls = cycle_classes(pm)
+        assert cls.classes == _classes_from_cycles(perm)
+        assert list(cls.classes) == sorted(cls.classes)
+        assert all(p in cls.classes[cls.period_of[p]] for p in range(size))
+
+
+def test_cycle_classes_are_computed_once_and_read_only():
+    part = build_real_line_partition(["0", "1"])
+    pm = PieceMap(part, (1, 0, 2, 4, 3))
+    cls = cycle_classes(pm)
+    assert cycle_classes(pm) is cls
+    with pytest.raises(TypeError):
+        cls.classes[3] = frozenset()
+    assert cls.classes == {1: frozenset({2}), 2: frozenset({0, 1, 3, 4})}
+    # a copy carries the fields, not the cache, and classifies the same
+    for twin in (pickle.loads(pickle.dumps(pm)), copy.deepcopy(pm)):
+        assert twin == pm
+        assert cycle_classes(twin) == cls
 
 
 def test_refined_cycle_classes_multipliers():

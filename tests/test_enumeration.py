@@ -173,3 +173,28 @@ def test_atlas_refuses_before_classifying_any_lift(points, base_n, monkeypatch):
     with pytest.raises(ScaleExceeded):
         classify_cases(atlas_instances(points, base_n=base_n))
     assert calls == []
+
+
+def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
+    import crossed_commutant.commutant as commutant
+    import crossed_commutant.dynamics as dynamics
+
+    calls = {"cycle_lengths": 0, "commutant_description": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(dynamics, "cycle_lengths")
+    counted(commutant, "cycle_lengths")
+    counted(commutant, "commutant_description")
+    groups = classify_cases(atlas_instances(3))
+    assert sum(g.count for g in groups.values()) == 264
+    # one walk per lift and one per base map (14 of them admit lifts); the
+    # coarse and refined descriptions come from the (k, l) classes
+    assert calls == {"cycle_lengths": 264 + 14, "commutant_description": 0}

@@ -11,6 +11,7 @@ from crossed_commutant import (
     render_instance,
 )
 from crossed_commutant.errors import InstanceFormatError
+from crossed_commutant.instances import MAX_WINDOW
 
 
 def test_parse_unrefined_real_line():
@@ -185,3 +186,11 @@ def test_builtin_names_are_stable():
     )
     with pytest.raises(KeyError):
         builtin_instance("unknown")
+
+
+def test_window_is_bounded():
+    doc = {"type": "abstract", "pieces": 1, "perm": [0], "window": MAX_WINDOW}
+    assert parse_instance(doc).window == MAX_WINDOW
+    for window in (MAX_WINDOW + 1, 1_000_000_000, 0):
+        with pytest.raises(InstanceFormatError, match=f"at most {MAX_WINDOW}"):
+            parse_instance(dict(doc, window=window))
