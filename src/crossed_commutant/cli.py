@@ -126,8 +126,16 @@ def _difference_payload(difference: DifferenceDescription, window: int) -> dict[
 
 def _report_payload(instance: Instance) -> dict[str, Any]:
     partition = instance.analysis_partition
-    fine_view = SubalgebraView.identity(partition)
-    description = commutant_description(fine_view, instance.refined_map)
+    difference = None
+    if instance.refined:
+        difference = commutant_difference(
+            instance.refinement, instance.base_map, instance.refined_map
+        )
+        description = difference.refined
+    else:
+        description = commutant_description(
+            SubalgebraView.identity(partition), instance.refined_map
+        )
     window = instance.window
     payload: dict[str, Any] = {
         "instance": render_instance(instance),
@@ -142,10 +150,7 @@ def _report_payload(instance: Instance) -> dict[str, Any]:
         "coarse_sep": None,
         "difference": None,
     }
-    if instance.refined:
-        difference = commutant_difference(
-            instance.refinement, instance.base_map, instance.refined_map
-        )
+    if difference is not None:
         coarse = difference.coarse
         payload["coarse_classes"] = {
             str(k): sorted(v) for k, v in sorted(coarse.class_pieces.items())

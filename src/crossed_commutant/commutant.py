@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .crossed import (
@@ -63,8 +64,15 @@ class SubalgebraView:
     def of_refinement(cls, refinement: Refinement) -> "SubalgebraView":
         return cls(refinement.refined, refinement.base, refinement.parent_of)
 
+    @cached_property
+    def _fibers(self) -> dict[int, tuple[int, ...]]:
+        fibers: dict[int, list[int]] = {}
+        for p, q in enumerate(self.embed):
+            fibers.setdefault(q, []).append(p)
+        return {q: tuple(ps) for q, ps in fibers.items()}
+
     def preimage(self, coarse_id: int) -> tuple[int, ...]:
-        return tuple(p for p, q in enumerate(self.embed) if q == coarse_id)
+        return self._fibers.get(coarse_id, ())
 
 
 def descend_map(view: SubalgebraView, piece_map: PieceMap) -> tuple[int, ...]:
@@ -115,9 +123,8 @@ def brute_force_sep(view: SubalgebraView, piece_map: PieceMap, n: int) -> frozen
     for q in range(view.sub.piece_count):
         h = CoefficientVector.indicator(size, view.preimage(q))
         moved = sigma_tilde_pow(h, piece_map, n)
-        for p in range(size):
-            if h.values[p] != moved.values[p]:
-                separated.add(p)
+        if moved.values != h.values:
+            separated.update(p for p in range(size) if h.values[p] != moved.values[p])
     return frozenset(separated)
 
 

@@ -37,9 +37,10 @@ class CoefficientVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", tuple(as_fraction(v) for v in self.values)
-        )
+        values = tuple(self.values)
+        if not set(map(type, values)) <= {Fraction}:
+            values = tuple(as_fraction(v) for v in values)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zeros(cls, size: int) -> "CoefficientVector":
@@ -167,14 +168,19 @@ def sigma_tilde_pow(f: CoefficientVector, piece_map: PieceMap, n: int) -> Coeffi
 
     The result takes, on piece P, the value f held on the n-th inverse image
     of P; equivalently the indicator of Q is carried to the indicator of the
-    image of Q.
+    image of Q.  The inverse power depends on n mod L only and is memoised
+    on the map, one entry per residue asked for.
     """
     if len(f) != piece_map.size:
         raise PartitionMismatch(
             f"vector of length {len(f)} on a partition with {piece_map.size} pieces"
         )
-    back = perm_power(piece_map.perm, -n)
-    return CoefficientVector(tuple(f.values[back[p]] for p in range(len(f))))
+    key = n % piece_map.period
+    memo = piece_map._inverse_powers
+    back = memo.get(key)
+    if back is None:
+        back = memo[key] = perm_power(piece_map.perm, -key)
+    return CoefficientVector(tuple(map(f.values.__getitem__, back)))
 
 
 def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> CrossedElement:

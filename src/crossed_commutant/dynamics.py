@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -124,8 +125,18 @@ class PieceMap:
             classes=MappingProxyType({k: frozenset(v) for k, v in sorted(grouped.items())}),
         )
 
+    @cached_property
+    def period(self) -> int:
+        """L, the lcm of the cycle lengths: every power depends on n mod L only."""
+        return lcm(*self.cycle_classification.classes)
+
+    @cached_property
+    def _inverse_powers(self) -> dict[int, tuple[int, ...]]:
+        # n mod L -> the (-n)-th power, filled by crossed.sigma_tilde_pow on demand
+        return {}
+
     def __getstate__(self) -> dict:
-        # pickle and deepcopy carry the fields only; the cache is rebuilt on demand
+        # pickle and deepcopy carry the fields only; the caches are rebuilt on demand
         return {"partition": self.partition, "perm": self.perm}
 
 

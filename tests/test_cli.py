@@ -97,6 +97,22 @@ def test_report_json_structure(capsys):
     assert payload["labels"][0] == "I_0^1"
 
 
+def test_report_classifies_each_map_once(capsys, monkeypatch):
+    import crossed_commutant.commutant as commutant
+    import crossed_commutant.dynamics as dynamics
+
+    calls = []
+    for module in (dynamics, commutant):
+        real = module.cycle_lengths
+        monkeypatch.setattr(
+            module, "cycle_lengths", lambda perm, real=real: calls.append(perm) or real(perm)
+        )
+    code, _, _ = run(capsys, "report", "--builtin", "two-intervals-crossed", "--json")
+    assert code == 0
+    # the base map and the refined map; the refined description is the difference's
+    assert len(calls) == 2
+
+
 def test_report_round_trips_through_its_own_instance(capsys, tmp_path):
     code, first, _ = run(
         capsys, "report", "--builtin", "one-interval-3cycle-pointswap", "--json"

@@ -179,6 +179,25 @@ def test_sep_formula_equals_oracle_on_random_instances():
                 )
 
 
+def test_oracle_sweep_transports_by_one_power_per_residue(monkeypatch):
+    import crossed_commutant.crossed as crossed
+
+    calls = []
+    real = crossed.perm_power
+    monkeypatch.setattr(crossed, "perm_power", lambda perm, n: calls.append(n) or real(perm, n))
+    crossed_ref, _, crossed_rm = crossed_fixture()
+    draws = [(crossed_ref, crossed_rm)] + [(r, rm) for r, _, rm in _refined_draws(50, 29)]
+    for refinement, refined_map in draws:
+        calls.clear()
+        for view in (
+            SubalgebraView.identity(refinement.refined),
+            SubalgebraView.of_refinement(refinement),
+        ):
+            for n in range(-12, 13):
+                assert brute_force_sep(view, refined_map, n) == sep_set(view, refined_map, n)
+        assert 1 <= len(calls) <= min(refined_map.period, 25)
+
+
 def _refined_draws(count, seed):
     rng = random.Random(seed)
     drawn = 0

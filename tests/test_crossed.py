@@ -1,4 +1,6 @@
 """Coefficient vectors, twisted convolution, rank, and strong grading."""
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from crossed_commutant import (
     CrossedElement,
     PieceMap,
     SubalgebraView,
+    build_abstract_partition,
     build_real_line_partition,
     commutant_description,
     crossed_element,
@@ -99,6 +102,94 @@ def test_sigma_tilde_indicator_follows_the_map():
     chi = CoefficientVector.indicator(5, (1,))
     # the indicator of a piece is carried to the indicator of its image
     assert sigma_tilde_pow(chi, pm, 1) == CoefficientVector.indicator(5, (0,))
+
+
+def _step(values, perm, sign):
+    # one application of the map (sign 1) or of its inverse (sign -1)
+    if sign > 0:
+        out = [None] * len(values)
+        for q, img in enumerate(perm):
+            out[img] = values[q]
+        return tuple(out)
+    return tuple(values[img] for img in perm)
+
+
+def _seeded_maps(count, seed=1105):
+    rng = random.Random(seed)
+    yield PieceMap.identity(build_abstract_partition(1))
+    yield PieceMap.identity(build_abstract_partition(6))
+    for _ in range(count - 2):
+        size = rng.randint(1, 9)
+        perm = list(range(size))
+        rng.shuffle(perm)
+        yield PieceMap(build_abstract_partition(size), tuple(perm))
+
+
+def test_transport_matches_repeated_single_steps_on_seeded_maps():
+    rng = random.Random(7)
+    for pm in _seeded_maps(300):
+        size = pm.size
+        f = CoefficientVector(
+            tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(size))
+        )
+        # the period is the first return of the labels under single steps
+        labels, L = _step(tuple(range(size)), pm.perm, 1), 1
+        while labels != tuple(range(size)):
+            labels, L = _step(labels, pm.perm, 1), L + 1
+        assert pm.period == L
+        for sign in (1, -1):
+            want = f.values
+            for k in range(3 * L + 1):
+                assert sigma_tilde_pow(f, pm, sign * k).values == want
+                want = _step(want, pm.perm, sign)
+        assert len(pm._inverse_powers) == L
+
+
+def test_transport_memo_reuses_residues_and_stays_out_of_copies(monkeypatch):
+    calls = []
+    real = crossed.perm_power
+    monkeypatch.setattr(crossed, "perm_power", lambda perm, n: calls.append(n) or real(perm, n))
+    pm = PieceMap(build_abstract_partition(5), (1, 2, 0, 4, 3))
+    f = CoefficientVector((1, 2, 3, 4, 5))
+    moved = sigma_tilde_pow(f, pm, 2)
+    assert len(calls) == 1
+    for n in (2 + 6, 2 - 6, 2 + 60):
+        assert sigma_tilde_pow(f, pm, n) == moved
+    assert len(calls) == 1 and len(pm._inverse_powers) == 1
+    for twin in (pickle.loads(pickle.dumps(pm)), copy.deepcopy(pm)):
+        assert twin == pm
+        assert "_inverse_powers" not in vars(twin)
+        assert sigma_tilde_pow(f, twin, 2) == moved
+    assert len(calls) == 3
+
+
+def test_coefficients_are_coerced_only_when_not_fractions(monkeypatch):
+    mixed = CoefficientVector((Fraction(1, 2), 1, "1/3"))
+    assert mixed.values == (Fraction(1, 2), Fraction(1), Fraction(1, 3))
+    assert {type(v) for v in mixed.values} == {Fraction}
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            CoefficientVector((Fraction(1), bad))
+    with pytest.raises(ValueError):
+        CoefficientVector((Fraction(1), "1e5000"))
+
+    class Half(Fraction):
+        pass
+
+    half = Half(1, 2)
+    assert CoefficientVector((Fraction(1), half)).values[1] is half is crossed.as_fraction(half)
+
+    calls = []
+    real = crossed.as_fraction
+    monkeypatch.setattr(crossed, "as_fraction", lambda v: calls.append(v) or real(v))
+    CoefficientVector((1, 0))
+    assert len(calls) == 2
+    calls.clear()
+    pm = PieceMap(build_abstract_partition(3), (1, 2, 0))
+    f = crossed_element({n: [Fraction(n), Fraction(1, 2), Fraction(-1)] for n in (-1, 0, 2)})
+    g = crossed_element({n: [Fraction(2), Fraction(n), Fraction(1, 3)] for n in (0, 1, 3)})
+    assert not multiply(f, g, pm).is_zero()
+    assert calls == []
 
 
 def test_twisted_product_of_indicators():
