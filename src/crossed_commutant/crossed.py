@@ -14,7 +14,6 @@ point.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
@@ -249,42 +248,28 @@ def is_strongly_graded(
 ) -> GradingResult:
     """Decide within a degree window whether products of graded components fill.
 
-    For every degree pair (n, m) with abs(n), abs(m) <= degree_window, the
-    products of basis monomials from degrees n and m are the unit vectors on
-    the pieces p of A(n) whose n-th preimage lies in A(m).  One product, of
-    the indicator of A(n) at degree n with that of A(m) at degree m, has
-    exactly that support, so its size is the span rank, compared against the
-    full component A(n + m).  Pairs are scanned outward from zero so the
-    first witness is the smallest one.
+    The degree-n component lives on A(n), the union of the classes whose
+    period divides n.  Classes are unions of orbits (else ValueError), so
+    components n and m span exactly A(n) & A(m) inside A(n + m), and
+    A(1) <= A(n) <= A(0).  So at every window >= 1 the grading is strong iff
+    A(1) = A(0); if not, the first short pair outward from zero is (1, 1)
+    when A(2) != A(1), else (1, -1).  One product, of the indicators at that
+    witness, gives the span rank in ``detail``.
     """
+    for k, pieces in description.class_pieces.items():
+        if not all(piece_map.perm[p] in pieces for p in pieces):
+            raise ValueError(f"grading needs classes that are unions of orbits; class {k} is not")
+    allowed = description.allowed
+    if degree_window <= 0 or allowed(0) == allowed(1):
+        full = "every degree pair in the window has full product span"
+        return GradingResult(True, None, degree_window, full)
+    n, m = (1, 1) if allowed(2) != allowed(1) else (1, -1)
     size = piece_map.size
-    # 0, 1, -1, 2, -2, ...; the stable sort keeps that order within a radius
-    order = sorted(range(-degree_window, degree_window + 1), key=lambda n: (abs(n), -n))
-    pairs = sorted(itertools.product(order, repeat=2), key=lambda nm: max(map(abs, nm)))
-    for n, m in pairs:
-        product = multiply(
-            indicator_element(size, description.allowed(n), n),
-            indicator_element(size, description.allowed(m), m),
-            piece_map,
-        )
-        vec = product.term(n + m)
-        spanned = frozenset() if vec is None else vec.support()
-        target = description.allowed(n + m)
-        if not spanned <= target:
-            raise AssertionError("product of commutant components left the commutant")
-        if len(spanned) < len(target):
-            return GradingResult(
-                strongly_graded=False,
-                witness=(n, m),
-                window=degree_window,
-                detail=(
-                    f"products from degrees {n} and {m} span rank {len(spanned)} "
-                    f"inside a component of dimension {len(target)}"
-                ),
-            )
-    return GradingResult(
-        strongly_graded=True,
-        witness=None,
-        window=degree_window,
-        detail="every degree pair in the window has full product span",
+    left, right = indicator_element(size, allowed(n), n), indicator_element(size, allowed(m), m)
+    vec = multiply(left, right, piece_map).term(n + m)
+    rank = 0 if vec is None else len(vec.support())
+    detail = (
+        f"products from degrees {n} and {m} span rank {rank} "
+        f"inside a component of dimension {len(allowed(n + m))}"
     )
+    return GradingResult(False, (n, m), degree_window, detail)

@@ -22,6 +22,10 @@ class ZeroCellCount(EngineError):
     """Abstract refinements need at least one cell per piece."""
 
 
+class UnknownPiece(EngineError):
+    """A refinement names a piece the base partition does not have."""
+
+
 class PartitionMismatch(EngineError):
     """Operands live on different partitions or have the wrong length."""
 

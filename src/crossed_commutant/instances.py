@@ -92,6 +92,21 @@ def _perm_entries(
     return ids
 
 
+def _id_entries(raw: Mapping, name: str, what: str, problems: list[str]) -> list[tuple]:
+    """(key, id, value) for each key of ``raw`` that names an id no other key names."""
+    first: dict[int, str] = {}
+    for key in raw:
+        try:
+            ident = int(key)
+        except (TypeError, ValueError):
+            problems.append(f"{name} key {key!r}: not {what}")
+            continue
+        if ident in first:
+            problems.append(f"{name} keys {first[ident]!r} and {key!r} name the same id")
+        first.setdefault(ident, key)
+    return [(key, ident, raw[key]) for ident, key in first.items()]
+
+
 def parse_instance(data: Mapping[str, Any], default_window: int = DEFAULT_WINDOW) -> Instance:
     if not isinstance(data, Mapping):
         raise InstanceFormatError(["top level: expected a JSON object"])
@@ -129,12 +144,8 @@ def parse_instance(data: Mapping[str, Any], default_window: int = DEFAULT_WINDOW
                 problems.append("additions: expected an object")
             else:
                 additions: dict[int, list] = {}
-                for key, values in raw_adds.items():
-                    try:
-                        alpha = int(key)
-                    except (TypeError, ValueError):
-                        problems.append(f"additions key {key!r}: not an interval id")
-                        continue
+                entries = _id_entries(raw_adds, "additions", "an interval id", problems)
+                for key, alpha, values in entries:
                     if not isinstance(values, list):
                         problems.append(f"additions[{key}]: expected a list")
                         continue
@@ -166,12 +177,7 @@ def parse_instance(data: Mapping[str, Any], default_window: int = DEFAULT_WINDOW
                 problems.append("cells: expected an object")
             else:
                 cells: dict[int, int] = {}
-                for key, value in raw_cells.items():
-                    try:
-                        pid = int(key)
-                    except (TypeError, ValueError):
-                        problems.append(f"cells key {key!r}: not a piece id")
-                        continue
+                for key, pid, value in _id_entries(raw_cells, "cells", "a piece id", problems):
                     if not isinstance(value, int) or isinstance(value, bool):
                         problems.append(f"cells[{key}]: expected an integer")
                         continue

@@ -26,6 +26,7 @@ from .errors import (
     DuplicatePoint,
     NonIncreasingPoints,
     PointOutsideInterval,
+    UnknownPiece,
     ZeroCellCount,
 )
 
@@ -347,7 +348,10 @@ def refine_real_line(
 def refine_abstract(
     base: AbstractPartition, cell_counts: Mapping[int, int]
 ) -> Refinement:
-    """Split each abstract piece i into cell_counts.get(i, 1) cells."""
+    """Split piece i into cell_counts.get(i, 1) cells; keys naming no piece raise UnknownPiece."""
+    stray = sorted(set(cell_counts).difference(range(base.cardinality)))
+    if stray:
+        raise UnknownPiece(f"no piece {stray[0]}; the base has pieces 0..{base.cardinality - 1}")
     counts: list[int] = []
     for i in range(base.cardinality):
         s = int(cell_counts.get(i, 1))

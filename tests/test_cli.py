@@ -215,6 +215,27 @@ def test_cases_json_documents_parse(capsys):
 
 HUGE_WINDOW = "<a document with window 10^9>"
 HUGE_WINDOW_DOC = {"type": "abstract", "pieces": 1, "perm": [0], "window": 1_000_000_000}
+# each of these validates at exit 0 if a key is dropped or ignored
+ALIASED_ADDITIONS = {
+    "type": "real_line", "jump_points": [0], "additions": {"0": ["-1"], "00": ["-2"]},
+    "base_perm": [0, 1, 2], "refined_perm": [0, 1, 2, 3, 4],
+}
+ALIASED_CELLS = {
+    "type": "abstract", "pieces": 2, "cells": {"0": 2, "00": 2},
+    "base_perm": [0, 1], "refined_perm": [0, 1, 2],
+}
+STRAY_CELLS = {
+    "type": "abstract", "pieces": 2, "cells": {"7": 2},
+    "base_perm": [0, 1], "refined_perm": [0, 1],
+}
+NEGATIVE_CELLS = {**STRAY_CELLS, "cells": {"-1": 2}}
+DOCUMENTS = {
+    HUGE_WINDOW: HUGE_WINDOW_DOC,
+    "<additions keys 0 and 00>": ALIASED_ADDITIONS,
+    "<cells keys 0 and 00>": ALIASED_CELLS,
+    "<cells key 7 of 2 pieces>": STRAY_CELLS,
+    "<cells key -1>": NEGATIVE_CELLS,
+}
 
 
 @pytest.mark.parametrize(
@@ -242,12 +263,18 @@ HUGE_WINDOW_DOC = {"type": "abstract", "pieces": 1, "perm": [0], "window": 1_000
         ["cases", "--bogus"],
         ["selftest", "--iterations", "0"],
         ["selftest", "--iterations", "-5"],
+        ["validate", "<additions keys 0 and 00>"],
+        ["validate", "<cells keys 0 and 00>"],
+        ["validate", "<cells key 7 of 2 pieces>"],
+        ["validate", "<cells key -1>"],
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
-    path = tmp_path / "huge-window.json"
-    path.write_text(json.dumps(HUGE_WINDOW_DOC))
-    argv = [str(path) if arg == HUGE_WINDOW else arg for arg in argv]
+    paths = {}
+    for i, (name, doc) in enumerate(DOCUMENTS.items()):
+        paths[name] = tmp_path / f"document-{i}.json"
+        paths[name].write_text(json.dumps(doc))
+    argv = [str(paths[arg]) if arg in paths else arg for arg in argv]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects while parsing
@@ -256,6 +283,23 @@ def test_bad_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     assert code == 2
     assert "Traceback" not in err
     assert err.strip()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (ALIASED_ADDITIONS, "additions keys '0' and '00' name the same id"),
+        (ALIASED_CELLS, "cells keys '0' and '00' name the same id"),
+        (STRAY_CELLS, "cells: no piece 7"),
+        (NEGATIVE_CELLS, "cells: no piece -1"),
+    ],
+)
+def test_aliased_and_stray_document_keys_are_named(capsys, tmp_path, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert message in err
 
 
 @pytest.mark.parametrize("exponent", ["999999999", "-999999999"])

@@ -361,7 +361,7 @@ def test_grading_matches_the_rank_oracle_on_seeded_instances():
 
 def test_grading_matches_the_rank_oracle_on_hand_built_descriptions():
     rng = random.Random(3110)
-    not_orbit_unions = 0
+    orbit_unions = with_longer_periods = refused = 0
     for _ in range(300):
         instance = random_instance(rng)
         piece_map = instance.refined_map
@@ -372,36 +372,21 @@ def test_grading_matches_the_rank_oracle_on_hand_built_descriptions():
             if k is not None:
                 grouped.setdefault(k, set()).add(p)
         class_pieces = {k: frozenset(v) for k, v in grouped.items()}
-        if not all(_is_union_of_orbits(v, piece_map) for v in class_pieces.values()):
-            not_orbit_unions += 1
         description = CommutantDescription(view=view, class_pieces=class_pieces)
-        _assert_matches_oracle(description, piece_map, {})
-    assert not_orbit_unions > 100
-
-
-class _PerDegree:
-    """Allowed sets given degree by degree: all three pieces up to |n| = 2, else piece 0.
-
-    With class keys a product can only leave the commutant once the (1, -1)
-    pair has already come up short, so the check is reached this way.
-    """
-
-    def allowed(self, n):
-        return frozenset(range(3)) if abs(n) <= 2 else frozenset({0})
-
-
-def test_a_product_leaving_the_commutant_raises_like_the_oracle():
-    part = build_real_line_partition(["0"])
-    pm = PieceMap.identity(part)
-    description = _PerDegree()
-    assert is_strongly_graded(description, pm, 1).strongly_graded
-    _assert_matches_oracle(description, pm, {})
-    with pytest.raises(AssertionError, match="left the commutant"):
-        is_strongly_graded(description, pm, 2)
+        if all(_is_union_of_orbits(v, piece_map) for v in class_pieces.values()):
+            orbit_unions += 1
+            with_longer_periods += max(class_pieces, default=1) >= 2
+            _assert_matches_oracle(description, piece_map, {})
+        else:
+            refused += 1
+            for window in range(4):
+                with pytest.raises(ValueError, match="unions of orbits"):
+                    is_strongly_graded(description, piece_map, window)
+    assert (orbit_unions, with_longer_periods, refused) == (79, 56, 221)
 
 
 @pytest.mark.parametrize("window", [0, 1, 3])
-def test_grading_takes_one_product_per_degree_pair(monkeypatch, window):
+def test_grading_takes_one_product_at_the_witness(monkeypatch, window):
     calls = {"multiply": 0, "rational_rank": 0}
 
     def counted(name):
@@ -419,4 +404,8 @@ def test_grading_takes_one_product_per_degree_pair(monkeypatch, window):
     pm = PieceMap.identity(part)
     description = commutant_description(SubalgebraView.identity(part), pm)
     assert is_strongly_graded(description, pm, window).strongly_graded
-    assert calls == {"multiply": (2 * window + 1) ** 2, "rational_rank": 0}
+    assert calls == {"multiply": 0, "rational_rank": 0}
+    part, pm = swap_map()
+    description = commutant_description(SubalgebraView.identity(part), pm)
+    assert is_strongly_graded(description, pm, window).strongly_graded == (window == 0)
+    assert calls == {"multiply": min(window, 1), "rational_rank": 0}

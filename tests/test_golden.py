@@ -53,22 +53,37 @@ def test_output_matches_golden(name, capsys, monkeypatch):
     assert _stdout(capsys, CASES[name]) == expected
 
 
-def _cli_subprocess(*python_flags: str) -> subprocess.CompletedProcess:
+def _cli_subprocess(argv: list[str], *python_flags: str) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "CROSSED_COMMUTANT_SEED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *python_flags, "-m", "crossed_commutant.cli",
-         "selftest", "--seed", "7", "--iterations", "30"],
+        [sys.executable, *python_flags, "-m", "crossed_commutant.cli", *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
 
 
-def test_selftest_output_is_the_same_under_python_O():
-    plain = _cli_subprocess()
-    optimized = _cli_subprocess("-O")
+def _assert_same_under_python_O(argv: list[str]) -> None:
+    plain = _cli_subprocess(argv)
+    optimized = _cli_subprocess(argv, "-O")
     assert plain.returncode == 0, plain.stderr
     assert optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout
+
+
+def test_selftest_output_is_the_same_under_python_O():
+    _assert_same_under_python_O(["selftest", "--seed", "7", "--iterations", "30"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--builtin", "two-intervals-crossed", "--window", "8"],  # one product
+        ["report", "--builtin", "two-intervals-identity"],  # graded, no product
+    ],
+    ids=["not-graded", "graded"],
+)
+def test_grading_output_is_the_same_under_python_O(argv):
+    _assert_same_under_python_O(argv)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from crossed_commutant.errors import (
     DuplicatePoint,
     NonIncreasingPoints,
     PointOutsideInterval,
+    UnknownPiece,
     ZeroCellCount,
 )
 
@@ -146,6 +147,9 @@ def test_refine_abstract_counts():
     assert ref.parent_of == (0, 0, 1, 1, 1)
     with pytest.raises(ZeroCellCount):
         refine_abstract(base, {0: 0})
+    for stray in (2, 7, -1):
+        with pytest.raises(UnknownPiece, match=f"no piece {stray}"):
+            refine_abstract(base, {0: 2, stray: 2})
 
 
 def test_refine_abstract_all_ones_is_identity():
