@@ -268,9 +268,25 @@ class DifferenceDescription:
     dividing n and l not dividing n/k.  Classes with l = 1 never contribute.
     """
 
+    refinement: Refinement
     tilde_classes: Mapping[tuple[int, int], frozenset[int]]
-    coarse: CommutantDescription
-    refined: CommutantDescription
+
+    @cached_property
+    def coarse(self) -> CommutantDescription:
+        """The coarse commutant: a piece in class (k, l) has coarse period k."""
+        return self._described(SubalgebraView.of_refinement(self.refinement), lambda k, l: k)
+
+    @cached_property
+    def refined(self) -> CommutantDescription:
+        """The refined commutant: a piece in class (k, l) has fine period k*l."""
+        return self._described(SubalgebraView.identity(self.refinement.refined), lambda k, l: k * l)
+
+    def _described(self, view: SubalgebraView, period) -> CommutantDescription:
+        grouped: dict[int, frozenset[int]] = {}
+        for (k, l), pieces in self.tilde_classes.items():
+            key = period(k, l)
+            grouped[key] = grouped.get(key, frozenset()) | pieces
+        return CommutantDescription(view, dict(sorted(grouped.items())))
 
     def forbidden_at(self, n: int) -> frozenset[int]:
         out: set[int] = set()
@@ -298,18 +314,9 @@ def commutant_difference(
     Both live inside the crossed product over the refined partition; the
     refined commutant is always contained in the coarse one, and the
     per-degree gap is exactly the union described by ``forbidden_at``.
-    Both descriptions are read off the (k, l) classes: a fine piece has
-    coarse period k once the lift is checked, and fine period k*l.
+    Both descriptions are read off the (k, l) classes on first use: a fine
+    piece has coarse period k once the lift is checked, and fine period k*l.
     """
     _require_lift(refinement, base_map, refined_map)
     rcc = refined_cycle_classes(refinement, base_map, refined_map)
-    by_parent_period: dict[int, frozenset[int]] = {}
-    for (k, _), pieces in rcc.tilde_classes.items():
-        by_parent_period[k] = by_parent_period.get(k, frozenset()) | pieces
-    return DifferenceDescription(
-        tilde_classes=dict(rcc.tilde_classes),
-        coarse=CommutantDescription(SubalgebraView.of_refinement(refinement), by_parent_period),
-        refined=CommutantDescription(
-            SubalgebraView.identity(refinement.refined), rcc.refined.classes
-        ),
-    )
+    return DifferenceDescription(refinement, rcc.tilde_classes)

@@ -140,8 +140,22 @@ class CrossedElement:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CrossedElement":
-        terms = data.get("terms", {})
-        return crossed_element({int(n): vals for n, vals in terms.items()})
+        """Read ``to_json`` output back; a malformed document raises ValueError."""
+        terms = data.get("terms", {}) if isinstance(data, Mapping) else None
+        if not isinstance(terms, Mapping):
+            raise ValueError("terms: expected an object mapping degrees to values")
+        first: dict[int, str] = {}
+        for key, vals in terms.items():
+            try:
+                degree = int(key)
+            except (TypeError, ValueError):
+                raise ValueError(f"terms key {key!r}: not a degree") from None
+            if degree in first:
+                raise ValueError(f"terms keys {first[degree]!r} and {key!r} name the same degree")
+            if not isinstance(vals, list):
+                raise ValueError(f"terms[{key!r}]: expected a list of values")
+            first[degree] = key
+        return crossed_element({degree: terms[key] for degree, key in first.items()})
 
 
 def crossed_element(terms: Mapping[int, VectorLike]) -> CrossedElement:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -60,13 +61,6 @@ def count_refined_maps(refinement: Refinement, base_map: PieceMap) -> int:
     return total
 
 
-def _assignments(src: Sequence[int], dst: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
-    return [
-        tuple((s, image) for s, image in zip(src, chosen))
-        for chosen in itertools.permutations(dst)
-    ]
-
-
 def enumerate_refined_maps(
     refinement: Refinement, base_map: PieceMap
 ) -> Iterator[PieceMap]:
@@ -81,16 +75,24 @@ def enumerate_refined_maps(
     arcs = _arcs(refinement, base_map)
     if arcs is None:
         return
-    interval_choices = [_assignments(src[0], dst[0]) for src, dst in arcs]
-    point_choices = [_assignments(src[1], dst[1]) for src, dst in arcs]
+    # each lift is the images of every arc's interval children, then of
+    # every arc's point children; one gather puts them in piece order
+    sources = [s for kind in (0, 1) for src, _ in arcs for s in src[kind]]
+    position = [0] * len(sources)
+    for j, s in enumerate(sources):
+        position[s] = j
+    # itemgetter of a single index returns the item, not a 1-tuple
+    gather = operator.itemgetter(*position) if len(position) > 1 else tuple
+    heads = itertools.product(*(itertools.permutations(dst[0]) for _, dst in arcs))
+    tails = [
+        tuple(itertools.chain.from_iterable(combo))
+        for combo in itertools.product(*(itertools.permutations(dst[1]) for _, dst in arcs))
+    ]
     refined = refinement.refined
-    size = refined.piece_count
-    for combo in itertools.product(*interval_choices, *point_choices):
-        perm = [0] * size
-        for assignment in combo:
-            for s, image in assignment:
-                perm[s] = image
-        yield _unchecked_piece_map(refined, tuple(perm))
+    for head in heads:
+        head = tuple(itertools.chain.from_iterable(head))
+        for tail in tails:
+            yield _unchecked_piece_map(refined, gather(head + tail))
 
 
 # ---------------------------------------------------------------------------

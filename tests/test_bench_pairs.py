@@ -1,0 +1,85 @@
+"""The pair summary of tools/bench_pairs.py, on canned result lines."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+DECLARED = [
+    {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+]
+
+
+def canned(seed, items_per_s, op_p50_ms, failed=0):
+    context = {"context": {"workload": "atlas", "seed": seed, "traced": False}}
+    result = {
+        "correct": failed == 0,
+        "attempted": 40,
+        "failed": failed,
+        "metrics": {
+            "items_per_s": {"value": items_per_s, "unit": "1/s"},
+            "op_p50_ms": {"value": op_p50_ms, "unit": "ms"},
+        },
+    }
+    return "warming up\n" + json.dumps(context) + "\n" + json.dumps(result) + "\n"
+
+
+def runs(values):
+    return [bench_pairs.parse_result(canned(61 + i, ips, p50)) for i, (ips, p50) in enumerate(values)]
+
+
+def test_parse_result_reads_the_last_two_lines():
+    run = bench_pairs.parse_result(canned(7, 1911.5, 0.4, failed=1))
+    assert run == {
+        "seed": 7,
+        "attempted": 40,
+        "failed": 1,
+        "metrics": {"items_per_s": 1911.5, "op_p50_ms": 0.4},
+    }
+    with pytest.raises(ValueError):
+        bench_pairs.parse_result(json.dumps({"correct": True}))
+
+
+def test_summary_gives_median_quartiles_and_seeds():
+    summary = bench_pairs.side_summary([4.0, 1.0, 3.0, 2.0, 5.0], [1, 2, 3, 4, 5])
+    assert summary == {"median": 3.0, "q1": 2.0, "q3": 4.0, "n": 5, "seeds": [1, 2, 3, 4, 5]}
+    single = bench_pairs.side_summary([7.5], [9])
+    assert single == {"median": 7.5, "q1": 7.5, "q3": 7.5, "n": 1, "seeds": [9]}
+
+
+def test_gain_needs_nine_wins_in_ten_and_a_median_beyond_the_parent_spread():
+    parent = runs([(100 + i, 10 + 0.1 * i) for i in range(10)])
+    faster = runs([(130 + i, 10 + 0.1 * i - 0.1 * (i != 3)) for i in range(10)])
+    out = bench_pairs.compare(parent, faster, DECLARED)
+    ips = out["items_per_s"]
+    assert ips["parent"]["median"] == 104.5 and ips["change"]["median"] == 134.5
+    assert ips["parent"]["q3"] - ips["parent"]["q1"] == 4.5
+    assert ips["change_wins"] == 10 and ips["gain_holds"]
+    assert ips["ratio"] == pytest.approx(134.5 / 104.5)
+    # lower is better for latency: nine wins and one tie, but a median inside the spread
+    assert out["op_p50_ms"]["change_wins"] == 9 and not out["op_p50_ms"]["gain_holds"]
+    # eight wins in ten is not enough, however large the median gain
+    mixed = runs([(200 if i < 8 else 50, 10) for i in range(10)])
+    assert not bench_pairs.compare(parent, mixed, DECLARED)["items_per_s"]["gain_holds"]
+
+
+def test_sides_must_share_seeds_in_order():
+    with pytest.raises(ValueError):
+        bench_pairs.compare(runs([(1, 1)] * 2), list(reversed(runs([(1, 1)] * 2))), DECLARED)
+
+
+def test_workload_entry_counts_failures_per_side():
+    entry = bench_pairs.workload_entry(
+        runs([(1, 1)] * 2), [bench_pairs.parse_result(canned(61, 1, 1, failed=2)),
+                             bench_pairs.parse_result(canned(62, 1, 1))],
+        DECLARED, 20.0, ["parent", "change"],
+    )
+    assert entry["pairs"] == 2 and entry["first"] == ["parent", "change"]
+    assert entry["failed"] == {"parent": 0, "change": 2}
+    assert entry["attempted"] == {"parent": 80, "change": 80}

@@ -154,6 +154,15 @@ def test_difference_description_of_crossed_fixture():
     assert diff.forbidden_at(6) == frozenset({0, 1, 2, 3})
 
 
+def test_difference_descriptions_are_built_once():
+    ref, bm, rm = crossed_fixture()
+    diff = commutant_difference(ref, bm, rm)
+    assert diff.coarse is diff.coarse
+    assert diff.refined is diff.refined
+    assert diff.coarse.view == SubalgebraView.of_refinement(ref)
+    assert diff.refined.view == SubalgebraView.identity(ref.refined)
+
+
 def test_is_coarse_only_detects_the_gap():
     ref, bm, rm = crossed_fixture()
     diff = commutant_difference(ref, bm, rm)

@@ -2,6 +2,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,21 @@ def test_json_round_trip():
     data = e.to_json()
     assert data == {"terms": {"-2": ["1", "0", "0"], "1": ["1/2", "0", "1"]}}
     assert CrossedElement.from_json(data) == e
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"terms": {"0": [1], "00": [2]}}, "terms keys '0' and '00' name the same degree"),
+        ({"terms": [1]}, "terms: expected an object"),
+        ({"terms": {"x": [1]}}, "terms key 'x': not a degree"),
+        ({"terms": {"0": "12"}}, "terms['0']: expected a list"),
+        ([1], "terms: expected an object"),
+    ],
+)
+def test_from_json_rejects_malformed_documents(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CrossedElement.from_json(data)
 
 
 def test_sigma_tilde_moves_along_the_inverse_orbit():

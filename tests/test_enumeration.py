@@ -1,9 +1,10 @@
 """Lift enumeration, case classification, atlases, and counting."""
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from crossed_commutant import (
+    PiProfile,
     PieceMap,
     atlas_instances,
     build_real_line_partition,
@@ -16,6 +17,8 @@ from crossed_commutant import (
     enumerate_refined_maps,
     integer_partition_count,
     integer_partitions,
+    perm_cycles,
+    realize_pi,
     refine_real_line,
     validate_refined_invariance,
 )
@@ -67,6 +70,64 @@ def test_enumeration_is_complete_and_valid_single_interval():
         assert validate_refined_invariance(ref, bm, pm).ok
         seen.add(pm.perm)
     assert len(seen) == 12
+
+
+def _reference_lifts(refinement, base_map):
+    """Lift perms by assigning child pairs arc by arc, interval wiring outermost."""
+    arcs = [
+        (refinement.kind_split[b], refinement.kind_split[base_map.perm[b]])
+        for cycle in perm_cycles(base_map.perm)
+        for b in cycle
+    ]
+    if any(len(src[kind]) != len(dst[kind]) for src, dst in arcs for kind in (0, 1)):
+        return []
+    choices = [
+        [tuple(zip(src[kind], chosen)) for chosen in permutations(dst[kind])]
+        for kind in (0, 1)
+        for src, dst in arcs
+    ]
+    lifts = []
+    for combo in product(*choices):
+        perm = [0] * refinement.refined.piece_count
+        for assignment in combo:
+            for s, image in assignment:
+                perm[s] = image
+        lifts.append(tuple(perm))
+    return lifts
+
+
+def _stream_bases():
+    from crossed_commutant.enumeration import _kind_preserving_base_maps
+
+    refinements = {}
+    for m in range(4):
+        for refinement, _, _ in atlas_instances(m):
+            refinements[id(refinement)] = refinement
+    for refinement in refinements.values():
+        for base_map in _kind_preserving_base_maps(refinement.base):
+            yield refinement, base_map
+    for k in (1, 2, 3):
+        for p in (0, 1, 2, 3):
+            if (k, p) != (3, 3):
+                refinement, base_map, _ = realize_pi(k, p, PiProfile(k=k, p=p, pi={1: p + 1}))
+                yield refinement, base_map
+    single = build_real_line_partition([])
+    yield refine_real_line(single, {}), PieceMap(single, (0,))
+
+
+def test_stream_equals_the_arc_by_arc_reference_in_order():
+    bases = lifts = empty = 0
+    for refinement, base_map in _stream_bases():
+        streamed = [pm.perm for pm in enumerate_refined_maps(refinement, base_map)]
+        assert streamed == _reference_lifts(refinement, base_map)
+        assert len(streamed) == count_refined_maps(refinement, base_map)
+        assert all(type(perm) is tuple for perm in streamed)
+        bases += 1
+        lifts += len(streamed)
+        empty += not streamed
+    # the 1-piece refinement streams its single lift as a 1-tuple
+    assert streamed == [(0,)]
+    assert empty > 0 and bases > 20 and lifts > 20_000
 
 
 def test_enumeration_orders_interval_wiring_outermost():
@@ -190,11 +251,34 @@ def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    def constructed(cls):
+        real = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            calls[cls.__name__] += 1
+            real(self, *args, **kwargs)
+
+        calls[cls.__name__] = 0
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
     counted(dynamics, "cycle_lengths")
     counted(commutant, "cycle_lengths")
     counted(commutant, "commutant_description")
+    constructed(commutant.SubalgebraView)
+    constructed(commutant.CommutantDescription)
     groups = classify_cases(atlas_instances(3))
     assert sum(g.count for g in groups.values()) == 264
     # one walk per lift and one per base map (14 of them admit lifts); the
-    # coarse and refined descriptions come from the (k, l) classes
-    assert calls == {"cycle_lengths": 264 + 14, "commutant_description": 0}
+    # signature reads only the (k, l) classes, so no description is built
+    assert calls == {
+        "cycle_lengths": 264 + 14,
+        "commutant_description": 0,
+        "SubalgebraView": 0,
+        "CommutantDescription": 0,
+    }
+    # the descriptions are built when read, without another orbit walk
+    ref, bm, rm = groups[max(groups, key=str)].representative
+    diff = commutant.commutant_difference(ref, bm, rm)
+    assert diff.coarse.class_pieces and diff.refined.class_pieces
+    assert calls["SubalgebraView"] == 2 and calls["CommutantDescription"] == 2
+    assert calls["cycle_lengths"] == 264 + 14
