@@ -14,6 +14,7 @@ ratio is the piece's multiplier.
 """
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,6 +80,11 @@ def perm_power(perm: Sequence[int], n: int) -> tuple[int, ...]:
         for pos, piece in enumerate(cycle):
             result[piece] = cycle[(pos + n) % size]
     return tuple(result)
+
+
+def _gather(values: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
+    """``values[i]`` for every i in ``indices``; itemgetter of one index returns a bare item."""
+    return operator.itemgetter(*indices)(values) if len(indices) > 1 else (values[indices[0]],)
 
 
 def cycle_lengths(perm: Sequence[int]) -> tuple[int, ...]:
@@ -173,6 +179,9 @@ class ValidationReport:
         return [f"[{v.rule}] {v.message}" for v in self.violations]
 
 
+_NO_VIOLATIONS = ValidationReport()
+
+
 def validate_invariance(partition: Partition, piece_map: PieceMap) -> ValidationReport:
     """Check that the map can come from a piece-preserving point bijection.
 
@@ -204,67 +213,54 @@ def validate_refined_invariance(
 ) -> ValidationReport:
     """Check that ``refined_map`` lifts ``base_map`` through the refinement.
 
-    The single lift equality is checked per fine piece.  When it fails, two
-    coarser named diagnoses are added: the set of subdivided pieces must be
-    carried onto itself, and a piece must have as many children as its
-    image.  Both follow from the lift law, so they appear only alongside
-    lift violations.
+    The lift equality is one comparison of whole tuples.  When it fails,
+    every fine piece breaking it is named, and two coarser named diagnoses
+    are added: the set of subdivided pieces must be carried onto itself,
+    and a piece must have as many children as its image.  Both follow from
+    the lift law, so they appear only alongside lift violations.
     """
-    if base_map.partition != refinement.base:
+    base, refined = refinement.base, refinement.refined
+    if base_map.partition is not base and base_map.partition != base:
         raise PartitionMismatch("base map does not belong to the base partition")
-    if refined_map.partition != refinement.refined:
+    if refined_map.partition is not refined and refined_map.partition != refined:
         raise PartitionMismatch("refined map does not belong to the refined partition")
     parent_of = refinement.parent_of
-    violations = []
-    for child, img in enumerate(refined_map.perm):
-        want = base_map.perm[parent_of[child]]
-        got = parent_of[img]
-        if got != want:
+    got, want = _gather(parent_of, refined_map.perm), _gather(base_map.perm, parent_of)
+    if got == want:
+        return _NO_VIOLATIONS
+    label = base.label_of
+    violations = [
+        Violation(
+            rule=RULE_LIFT,
+            message=f"child {refined.label_of(child)} of {label(parent_of[child])} "
+            f"lands in {label(g)} instead of {label(w)}",
+            pieces=(child, refined_map.perm[child]),
+        )
+        for child, (g, w) in enumerate(zip(got, want))
+        if g != w
+    ]
+    for b, b2 in enumerate(base_map.perm):
+        mine, theirs = len(refinement.children_of(b)), len(refinement.children_of(b2))
+        if mine != theirs:
             violations.append(
                 Violation(
-                    rule=RULE_LIFT,
-                    message=(
-                        f"child {refinement.refined.label_of(child)} of "
-                        f"{refinement.base.label_of(parent_of[child])} lands in "
-                        f"{refinement.base.label_of(got)} instead of "
-                        f"{refinement.base.label_of(want)}"
-                    ),
-                    pieces=(child, img),
+                    rule=RULE_CHILD_COUNT,
+                    message=f"{label(b)} has {mine} children "
+                    f"but its image {label(b2)} has {theirs}",
+                    pieces=(b, b2),
                 )
             )
-    if violations:
-        for b in range(refinement.base.piece_count):
-            b2 = base_map.perm[b]
-            mine, theirs = refinement.children_of(b), refinement.children_of(b2)
-            if len(mine) != len(theirs):
-                violations.append(
-                    Violation(
-                        rule=RULE_CHILD_COUNT,
-                        message=(
-                            f"{refinement.base.label_of(b)} has {len(mine)} children "
-                            f"but its image {refinement.base.label_of(b2)} has {len(theirs)}"
-                        ),
-                        pieces=(b, b2),
-                    )
-                )
-        subdivided = {
-            b for b in range(refinement.base.piece_count)
-            if len(refinement.children_of(b)) > 1
-        }
-        image = {base_map.perm[b] for b in subdivided}
-        if image != subdivided:
-            moved = sorted(subdivided ^ image)
-            violations.append(
-                Violation(
-                    rule=RULE_REGION,
-                    message=(
-                        "the union of subdivided pieces is not carried onto itself; "
-                        "offending pieces: "
-                        + ", ".join(refinement.base.label_of(b) for b in moved)
-                    ),
-                    pieces=tuple(moved),
-                )
+    subdivided = {b for b in range(base.piece_count) if len(refinement.children_of(b)) > 1}
+    moved = sorted(subdivided ^ {base_map.perm[b] for b in subdivided})
+    if moved:
+        violations.append(
+            Violation(
+                rule=RULE_REGION,
+                message="the union of subdivided pieces is not carried onto itself; "
+                "offending pieces: " + ", ".join(map(label, moved)),
+                pieces=tuple(moved),
             )
+        )
     return ValidationReport(tuple(violations))
 
 
@@ -286,7 +282,7 @@ def cycle_classes(piece_map: PieceMap) -> CycleClassification:
 
 @dataclass(frozen=True)
 class RefinedCycleClassification:
-    """Coarse periods, fine periods, and the multiplier of every fine piece.
+    """Coarse periods and the (parent period, multiplier) class of every fine piece.
 
     A fine piece whose parent has period k and whose own period is k*l gets
     multiplier l; ``tilde_classes[(k, l)]`` collects the fine pieces with
@@ -295,45 +291,48 @@ class RefinedCycleClassification:
 
     refinement: Refinement
     base: CycleClassification
-    refined: CycleClassification
-    multiplier_of: tuple[int, ...]
     tilde_classes: Mapping[tuple[int, int], frozenset[int]]
 
     @property
     def base_period_of(self) -> tuple[int, ...]:
         return self.base.period_of
 
+    @cached_property
+    def multiplier_of(self) -> tuple[int, ...]:
+        pairs = sorted((c, l) for (_, l), pieces in self.tilde_classes.items() for c in pieces)
+        return tuple(l for _, l in pairs)
+
 
 def refined_cycle_classes(
     refinement: Refinement, base_map: PieceMap, refined_map: PieceMap
 ) -> RefinedCycleClassification:
-    """Classify fine pieces by (parent period, multiplier).
+    """Classify fine pieces by (parent period, multiplier), one fine orbit at a time.
 
-    Raises LiftInconsistent if some fine orbit length fails to be a multiple
-    of its parent orbit length, which cannot happen for a genuine lift.
+    Raises LiftInconsistent if some fine piece's period fails to be a multiple
+    of its parent's period, which cannot happen for a genuine lift.
     """
     base_cls = cycle_classes(base_map)
-    fine_cls = cycle_classes(refined_map)
-    multipliers: list[int] = []
-    grouped: dict[tuple[int, int], set[int]] = {}
-    for child, parent in enumerate(refinement.parent_of):
-        k = base_cls.period_of[parent]
-        fine = fine_cls.period_of[child]
-        if fine % k != 0:
-            raise LiftInconsistent(
-                f"piece {refinement.refined.label_of(child)} has period {fine}, "
-                f"not a multiple of its parent's period {k}"
-            )
-        l = fine // k
-        multipliers.append(l)
-        grouped.setdefault((k, l), set()).add(child)
-    return RefinedCycleClassification(
-        refinement=refinement,
-        base=base_cls,
-        refined=fine_cls,
-        multiplier_of=tuple(multipliers),
-        tilde_classes={kl: frozenset(v) for kl, v in sorted(grouped.items())},
-    )
+    k_of = _gather(base_cls.period_of, refinement.parent_of)
+    perm = refined_map.perm
+    by_periods: dict[tuple[int, int], list[int]] = {}  # (parent period, fine period)
+    # on a lift the parents of a fine orbit run round one base orbit, so the
+    # whole orbit has one parent period; otherwise class piece by piece
+    whole = _gather(k_of, perm) == k_of
+    for cycle in perm_cycles(perm):
+        if whole:
+            by_periods.setdefault((k_of[cycle[0]], len(cycle)), []).extend(cycle)
+        else:
+            for child in cycle:
+                by_periods.setdefault((k_of[child], len(cycle)), []).append(child)
+    failed = [(min(v), fine, k) for (k, fine), v in by_periods.items() if fine % k]
+    if failed:
+        child, fine, k = min(failed)
+        raise LiftInconsistent(
+            f"piece {refinement.refined.label_of(child)} has period {fine}, "
+            f"not a multiple of its parent's period {k}"
+        )
+    tilde = {(k, fine // k): frozenset(v) for (k, fine), v in sorted(by_periods.items())}
+    return RefinedCycleClassification(refinement, base_cls, tilde)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,14 @@ def parse_instance(data: Mapping[str, Any], default_window: int = DEFAULT_WINDOW
                     except EngineError as exc:
                         problems.append(f"cells: {exc}")
 
+    # the other type's keys would be silently dropped
+    own, other = ("jump_points", "additions"), ("pieces", "cells")
+    if kind == "abstract":
+        own, other = other, own
+    for stray in other:
+        if stray in data:
+            problems.append(f"{stray}: {kind} instances use {own[0]} and {own[1]}")
+
     window = data.get("window", default_window)
     if not isinstance(window, int) or isinstance(window, bool) or not 1 <= window <= MAX_WINDOW:
         problems.append(f"window: expected a positive integer of at most {MAX_WINDOW}")

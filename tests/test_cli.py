@@ -229,12 +229,52 @@ STRAY_CELLS = {
     "base_perm": [0, 1], "refined_perm": [0, 1],
 }
 NEGATIVE_CELLS = {**STRAY_CELLS, "cells": {"-1": 2}}
+# a refinement key of the other document type
+ABSTRACT_WITH_ADDITIONS = {"type": "abstract", "pieces": 1, "perm": [0], "additions": {"0": ["1"]}}
+LINE_WITH_CELLS = {"type": "real_line", "jump_points": [], "perm": [0], "cells": {"0": 2}}
+# hostile documents: wrong JSON types, bad jump points, misfit perms
+ONE_CELL = {"type": "abstract", "pieces": 1, "perm": [0]}
+TWO_CELLS = {"type": "abstract", "pieces": 2, "perm": [1, 0]}
+LINE = {"type": "real_line", "jump_points": ["0"], "perm": [0, 1, 2]}
+LINE_REFINED = {
+    "type": "real_line", "jump_points": [], "additions": {"0": ["0"]},
+    "base_perm": [0], "refined_perm": [0, 1, 2],
+}
+CELLS_REFINED = {
+    "type": "abstract", "pieces": 1, "cells": {"0": 2}, "base_perm": [0], "refined_perm": [1, 0],
+}
+HOSTILE = {
+    "<window '3'>": {**ONE_CELL, "window": "3"},
+    "<window 3.0>": {**ONE_CELL, "window": 3.0},
+    "<window true>": {**ONE_CELL, "window": True},
+    "<perm '01'>": {**TWO_CELLS, "perm": "01"},
+    "<perm of floats>": {**TWO_CELLS, "perm": [0.0, 1.0]},
+    "<perm of booleans>": {**TWO_CELLS, "perm": [True, False]},
+    "<perm null>": {**TWO_CELLS, "perm": None},
+    "<pieces '2'>": {**TWO_CELLS, "pieces": "2"},
+    "<cells a list>": {**CELLS_REFINED, "cells": [2]},
+    "<cells value '2'>": {**CELLS_REFINED, "cells": {"0": "2"}},
+    "<cells value 2.0>": {**CELLS_REFINED, "cells": {"0": 2.0}},
+    "<additions value an object>": {**LINE_REFINED, "additions": {"0": {"0": "0"}}},
+    "<jump point an object>": {**LINE, "jump_points": [{"x": 1}]},
+    "<jump point 'nan'>": {**LINE, "jump_points": ["nan"]},
+    "<jump point 'inf'>": {**LINE, "jump_points": ["inf"]},
+    "<duplicate jump points>": {**LINE, "jump_points": ["0", "0"], "perm": [0, 1, 2, 3, 4]},
+    "<unsorted jump points>": {**LINE, "jump_points": ["1", "0"], "perm": [0, 1, 2, 3, 4]},
+    "<refined_perm one short>": {**LINE_REFINED, "refined_perm": [0, 1]},
+    "<refined_perm one long>": {**LINE_REFINED, "refined_perm": [0, 1, 2, 3]},
+    "<line base_perm without additions>": {**LINE, "base_perm": [0, 1, 2]},
+    "<abstract base_perm without cells>": {**ONE_CELL, "base_perm": [0]},
+}
 DOCUMENTS = {
     HUGE_WINDOW: HUGE_WINDOW_DOC,
     "<additions keys 0 and 00>": ALIASED_ADDITIONS,
     "<cells keys 0 and 00>": ALIASED_CELLS,
     "<cells key 7 of 2 pieces>": STRAY_CELLS,
     "<cells key -1>": NEGATIVE_CELLS,
+    "<abstract with additions>": ABSTRACT_WITH_ADDITIONS,
+    "<real_line with cells>": LINE_WITH_CELLS,
+    **HOSTILE,
 }
 
 
@@ -267,6 +307,11 @@ DOCUMENTS = {
         ["validate", "<cells keys 0 and 00>"],
         ["validate", "<cells key 7 of 2 pieces>"],
         ["validate", "<cells key -1>"],
+        ["validate", "<abstract with additions>"],
+        ["report", "<abstract with additions>"],
+        ["validate", "<real_line with cells>"],
+        ["report", "<real_line with cells>"],
+        *(["validate", name] for name in HOSTILE),
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
@@ -285,6 +330,13 @@ def test_bad_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     assert err.strip()
 
 
+@pytest.mark.parametrize("doc", [ONE_CELL, TWO_CELLS, LINE, LINE_REFINED, CELLS_REFINED])
+def test_hostile_documents_start_from_valid_ones(capsys, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(path))[0] == 0
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -292,6 +344,8 @@ def test_bad_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
         (ALIASED_CELLS, "cells keys '0' and '00' name the same id"),
         (STRAY_CELLS, "cells: no piece 7"),
         (NEGATIVE_CELLS, "cells: no piece -1"),
+        (ABSTRACT_WITH_ADDITIONS, "additions: abstract instances use pieces and cells"),
+        (LINE_WITH_CELLS, "cells: real_line instances use jump_points and additions"),
     ],
 )
 def test_aliased_and_stray_document_keys_are_named(capsys, tmp_path, doc, message):

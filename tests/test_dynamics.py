@@ -1,18 +1,22 @@
 """Piece maps, invariance validation, cycle classes, and profiles."""
 import copy
+import json
 import pickle
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 from crossed_commutant import (
     PieceMap,
     PiProfile,
+    atlas_instances,
     build_abstract_partition,
     build_real_line_partition,
     check_pi,
     cycle_classes,
+    parse_instance,
     perm_cycles,
     perm_inverse,
     perm_power,
@@ -29,10 +33,15 @@ from crossed_commutant.dynamics import (
     RULE_KIND,
     RULE_LIFT,
     RULE_REGION,
+    ValidationReport,
+    Violation,
     cycle_lengths,
     perm_compose,
 )
 from crossed_commutant.errors import InfeasibleProfile, LiftInconsistent
+from crossed_commutant.selftest import random_instance
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_perm_inverse_and_compose():
@@ -322,3 +331,154 @@ def test_profiles_from_exhaustive_small_lifts_are_admissible():
         assert check_pi(prof).ok
         seen.add(prof.sorted_items())
     assert seen == {item.sorted_items() for item in _admissible(1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# differential tests against per-child references
+
+
+def _per_child_classes(ref, bm, rm):
+    """(k, l) classes, multipliers and base periods, one fine piece at a time."""
+    base_period, fine_period = cycle_lengths(bm.perm), cycle_lengths(rm.perm)
+    multipliers, grouped = [], {}
+    for child, parent in enumerate(ref.parent_of):
+        k, fine = base_period[parent], fine_period[child]
+        if fine % k != 0:
+            raise LiftInconsistent(
+                f"piece {ref.refined.label_of(child)} has period {fine}, "
+                f"not a multiple of its parent's period {k}"
+            )
+        multipliers.append(fine // k)
+        grouped.setdefault((k, fine // k), set()).add(child)
+    classes = {kl: frozenset(v) for kl, v in sorted(grouped.items())}
+    return list(classes.items()), tuple(multipliers), base_period
+
+
+def _classified(classify, ref, bm, rm):
+    try:
+        got = classify(ref, bm, rm)
+    except LiftInconsistent as exc:
+        return "raises", str(exc)
+    if isinstance(got, tuple):
+        return got
+    return list(got.tilde_classes.items()), got.multiplier_of, got.base_period_of
+
+
+def _atlas_lifts():
+    return [inst for m in range(4) for inst in atlas_instances(m)]
+
+
+def _refined_draws(seed, count):
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        inst = random_instance(rng)
+        if inst.refined:
+            draws.append((inst.refinement, inst.base_map, inst.refined_map))
+    return draws
+
+
+def _mixes_parent_periods(ref, bm, rm):
+    periods = cycle_lengths(bm.perm)
+    return any(
+        len({periods[ref.parent_of[c]] for c in cycle}) > 1 for cycle in perm_cycles(rm.perm)
+    )
+
+
+def test_refined_cycle_classes_equal_the_per_child_reference():
+    lifts = _atlas_lifts() + _refined_draws(4481, 500)
+    assert len(lifts) == 287 + 500
+    assert {type(ref.base).__name__ for ref, _, _ in lifts[287:]} == {
+        "RealLinePartition", "AbstractPartition"
+    }
+    rng = random.Random(4482)
+    non_lifts = []
+    while len(non_lifts) < 300:
+        ref, bm, _ = lifts[rng.randrange(len(lifts))]
+        perm = list(range(ref.refined.piece_count))
+        rng.shuffle(perm)
+        rm = PieceMap(ref.refined, tuple(perm))
+        if not validate_refined_invariance(ref, bm, rm).ok:
+            non_lifts.append((ref, bm, rm))
+    outcomes = {"lift": 0, "raises": 0, "mixed": 0, "classified": 0}
+    for i, (ref, bm, rm) in enumerate(lifts + non_lifts):
+        want = _classified(_per_child_classes, ref, bm, rm)
+        assert _classified(refined_cycle_classes, ref, bm, rm) == want
+        if i < len(lifts):
+            outcomes["lift"] += want[0] != "raises"
+        elif want[0] == "raises":
+            outcomes["raises"] += 1
+        else:
+            outcomes["mixed" if _mixes_parent_periods(ref, bm, rm) else "classified"] += 1
+    # every lift classifies; the non-lifts reach the raise, the per-piece
+    # classes of an orbit over several parent periods, and whole orbits
+    assert outcomes == {"lift": 787, "raises": 205, "mixed": 19, "classified": 76}
+
+
+def _per_child_validation(ref, bm, rm):
+    """The lift check and its diagnoses, one fine piece at a time."""
+    parent_of, base, label = ref.parent_of, ref.base, ref.base.label_of
+    violations = []
+    for child, img in enumerate(rm.perm):
+        want, got = bm.perm[parent_of[child]], parent_of[img]
+        if got != want:
+            message = (
+                f"child {ref.refined.label_of(child)} of {label(parent_of[child])} "
+                f"lands in {label(got)} instead of {label(want)}"
+            )
+            violations.append(Violation(RULE_LIFT, message, (child, img)))
+    if violations:
+        for b in range(base.piece_count):
+            b2 = bm.perm[b]
+            mine, theirs = len(ref.children_of(b)), len(ref.children_of(b2))
+            if mine != theirs:
+                message = (
+                    f"{label(b)} has {mine} children but its image {label(b2)} has {theirs}"
+                )
+                violations.append(Violation(RULE_CHILD_COUNT, message, (b, b2)))
+        subdivided = {b for b in range(base.piece_count) if len(ref.children_of(b)) > 1}
+        moved = sorted(subdivided ^ {bm.perm[b] for b in subdivided})
+        if moved:
+            message = (
+                "the union of subdivided pieces is not carried onto itself; "
+                "offending pieces: " + ", ".join(label(b) for b in moved)
+            )
+            violations.append(Violation(RULE_REGION, message, tuple(moved)))
+    return ValidationReport(tuple(violations))
+
+
+def test_lift_check_equals_the_per_child_reference():
+    lifts = _atlas_lifts()
+    rng = random.Random(4483)
+    swapped, rebased = [], []
+    for ref, bm, rm in lifts:
+        perm = list(rm.perm)
+        if len(perm) > 1:
+            i, j = rng.sample(range(len(perm)), 2)
+            perm[i], perm[j] = perm[j], perm[i]
+            swapped.append((ref, bm, PieceMap(ref.refined, tuple(perm))))
+        # another base map of the same partition, for the child-count and
+        # region diagnoses
+        base_perm = list(bm.perm)
+        rng.shuffle(base_perm)
+        rebased.append((ref, PieceMap(ref.base, tuple(base_perm)), rm))
+    with open(GOLDEN / "cases.json", encoding="utf-8") as handle:
+        documents = json.load(handle)
+    golden = [
+        (inst.refinement, inst.base_map, inst.refined_map)
+        for inst in map(parse_instance, documents.values())
+    ]
+    verdicts, rules = [], {}
+    for ref, bm, rm in lifts + swapped + rebased + golden:
+        want = _per_child_validation(ref, bm, rm)
+        assert validate_refined_invariance(ref, bm, rm) == want
+        verdicts.append(want.ok)
+        for v in want.violations:
+            rules[v.rule] = rules.get(v.rule, 0) + 1
+    n, s, r = len(lifts), len(swapped), len(rebased)
+    assert (sum(verdicts[:n]), n) == (287, 287)
+    # a swap keeps the lift when both images have the same parent
+    assert (sum(verdicts[n:n + s]), s) == (195, 286)
+    assert (sum(verdicts[n + s:n + s + r]), r) == (165, 287)
+    assert verdicts[n + s + r:] == [True] * len(documents)
+    assert rules == {RULE_LIFT: 1165, RULE_CHILD_COUNT: 280, RULE_REGION: 108}

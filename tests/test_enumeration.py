@@ -240,7 +240,7 @@ def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
     import crossed_commutant.commutant as commutant
     import crossed_commutant.dynamics as dynamics
 
-    calls = {"cycle_lengths": 0, "commutant_description": 0}
+    calls = {"perm_cycles": 0, "cycle_lengths": 0, "commutant_description": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -261,24 +261,32 @@ def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
         calls[cls.__name__] = 0
         monkeypatch.setattr(cls, "__init__", wrapper)
 
+    counted(dynamics, "perm_cycles")
     counted(dynamics, "cycle_lengths")
     counted(commutant, "cycle_lengths")
     counted(commutant, "commutant_description")
     constructed(commutant.SubalgebraView)
     constructed(commutant.CommutantDescription)
-    groups = classify_cases(atlas_instances(3))
+    instances = list(atlas_instances(3))
+    groups = classify_cases(instances)
     assert sum(g.count for g in groups.values()) == 264
-    # one walk per lift and one per base map (14 of them admit lifts); the
-    # signature reads only the (k, l) classes, so no description is built
+    # one orbit walk per lift, and one per base map (14 of them admit lifts)
+    # inside its cycle_lengths; the signature reads only the (k, l) classes,
+    # so no description is built
     assert calls == {
-        "cycle_lengths": 264 + 14,
+        "perm_cycles": 264 + 14,
+        "cycle_lengths": 14,
         "commutant_description": 0,
         "SubalgebraView": 0,
         "CommutantDescription": 0,
     }
+    # the base maps keep their classification; no lift fills that cache
+    assert len({id(bm) for _, bm, _ in instances if "cycle_classification" in vars(bm)}) == 14
+    assert not any("cycle_classification" in vars(rm) for _, _, rm in instances)
     # the descriptions are built when read, without another orbit walk
     ref, bm, rm = groups[max(groups, key=str)].representative
     diff = commutant.commutant_difference(ref, bm, rm)
     assert diff.coarse.class_pieces and diff.refined.class_pieces
     assert calls["SubalgebraView"] == 2 and calls["CommutantDescription"] == 2
-    assert calls["cycle_lengths"] == 264 + 14
+    assert calls["cycle_lengths"] == 14
+    assert calls["perm_cycles"] == 264 + 14 + 1
