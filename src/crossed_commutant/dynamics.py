@@ -315,15 +315,10 @@ def refined_cycle_classes(
     k_of = _gather(base_cls.period_of, refinement.parent_of)
     perm = refined_map.perm
     by_periods: dict[tuple[int, int], list[int]] = {}  # (parent period, fine period)
-    # on a lift the parents of a fine orbit run round one base orbit, so the
-    # whole orbit has one parent period; otherwise class piece by piece
-    whole = _gather(k_of, perm) == k_of
     for cycle in perm_cycles(perm):
-        if whole:
-            by_periods.setdefault((k_of[cycle[0]], len(cycle)), []).extend(cycle)
-        else:
-            for child in cycle:
-                by_periods.setdefault((k_of[child], len(cycle)), []).append(child)
+        fine = len(cycle)
+        for child in cycle:
+            by_periods.setdefault((k_of[child], fine), []).append(child)
     failed = [(min(v), fine, k) for (k, fine), v in by_periods.items() if fine % k]
     if failed:
         child, fine, k = min(failed)

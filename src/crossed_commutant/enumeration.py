@@ -139,20 +139,22 @@ def classify_cases(instances: Iterable[Instance]) -> dict[CaseSignature, CaseGro
     The representative is minimal by (piece count, base perm, refined perm),
     so reruns over the same stream pick the same witnesses.
     """
-    found: dict[CaseSignature, list] = {}  # signature -> [group, representative's key]
+    groups: dict[CaseSignature, CaseGroup] = {}
+    keys: dict[CaseSignature, tuple] = {}
     for instance in instances:
         refinement, base_map, refined_map = instance
         sig = case_signature(commutant_difference(refinement, base_map, refined_map))
         key = (refinement.refined.piece_count, base_map.perm, refined_map.perm)
-        entry = found.get(sig)
-        if entry is None:
-            found[sig] = [CaseGroup(signature=sig, count=1, representative=instance), key]
+        group = groups.get(sig)
+        if group is None:
+            groups[sig] = CaseGroup(signature=sig, count=1, representative=instance)
+            keys[sig] = key
         else:
-            entry[0].count += 1
-            if key < entry[1]:
-                entry[0].representative = instance
-                entry[1] = key
-    return {sig: group for sig, (group, _) in found.items()}
+            group.count += 1
+            if key < keys[sig]:
+                group.representative = instance
+                keys[sig] = key
+    return groups
 
 
 # ---------------------------------------------------------------------------
