@@ -299,8 +299,11 @@ class RefinedCycleClassification:
 
     @cached_property
     def multiplier_of(self) -> tuple[int, ...]:
-        pairs = sorted((c, l) for (_, l), pieces in self.tilde_classes.items() for c in pieces)
-        return tuple(l for _, l in pairs)
+        multipliers = [0] * self.refinement.refined.piece_count
+        for (_, l), pieces in self.tilde_classes.items():
+            for c in pieces:
+                multipliers[c] = l
+        return tuple(multipliers)
 
 
 def refined_cycle_classes(
