@@ -145,6 +145,7 @@ class CrossedElement:
         if not isinstance(terms, Mapping):
             raise ValueError("terms: expected an object mapping degrees to values")
         first: dict[int, str] = {}
+        vectors: dict[int, CoefficientVector] = {}
         for key, vals in terms.items():
             try:
                 degree = int(key)
@@ -154,8 +155,12 @@ class CrossedElement:
                 raise ValueError(f"terms keys {first[degree]!r} and {key!r} name the same degree")
             if not isinstance(vals, list):
                 raise ValueError(f"terms[{key!r}]: expected a list of values")
+            try:
+                vectors[degree] = CoefficientVector(tuple(vals))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"terms[{key!r}]: {exc}") from None
             first[degree] = key
-        return crossed_element({degree: terms[key] for degree, key in first.items()})
+        return crossed_element(vectors)
 
 
 def crossed_element(terms: Mapping[int, VectorLike]) -> CrossedElement:

@@ -149,8 +149,9 @@ class PieceMap:
 def _unchecked_piece_map(partition: Partition, perm: tuple[int, ...]) -> PieceMap:
     # trusted constructor for enumeration streams; inputs valid by construction
     pm = object.__new__(PieceMap)
-    object.__setattr__(pm, "partition", partition)
-    object.__setattr__(pm, "perm", perm)
+    fields = pm.__dict__
+    fields["partition"] = partition
+    fields["perm"] = perm
     return pm
 
 

@@ -37,8 +37,11 @@ def _arcs(refinement: Refinement, base_map: PieceMap):
     """Per base piece, the child groups of the piece and of its image.
 
     Returns None when some arc has mismatched group sizes, in which case no
-    lift exists at all.
+    lift exists at all; raises ValueError when ``base_map`` acts on another
+    partition than the refinement's base.
     """
+    if base_map.partition != refinement.base:
+        raise ValueError("base map does not act on the refinement's base")
     arcs = []
     for cycle in perm_cycles(base_map.perm):
         for b in cycle:
@@ -61,6 +64,21 @@ def count_refined_maps(refinement: Refinement, base_map: PieceMap) -> int:
     return total
 
 
+def _placed_choices(arcs, kind: int) -> Iterator[tuple[int, ...]]:
+    """Every choice of images for the arcs' ``kind`` children, in piece order.
+
+    Choices follow the product over arcs in arc order; each is listed by the
+    ids of the children it moves, smallest first.
+    """
+    sources = [s for src, _ in arcs for s in src[kind]]
+    order = sorted(range(len(sources)), key=sources.__getitem__)
+    # sources already in piece order need no gather (this covers 0 or 1 of them,
+    # where itemgetter would fail or return a bare item)
+    place = tuple if sources == sorted(sources) else operator.itemgetter(*order)
+    for combo in itertools.product(*(itertools.permutations(dst[kind]) for _, dst in arcs)):
+        yield place(tuple(itertools.chain.from_iterable(combo)))
+
+
 def enumerate_refined_maps(
     refinement: Refinement, base_map: PieceMap
 ) -> Iterator[PieceMap]:
@@ -70,29 +88,16 @@ def enumerate_refined_maps(
     consecutive stretches of the stream share all interval wiring.  The
     stream is empty when no lift exists.
     """
-    if base_map.partition != refinement.base:
-        raise ValueError("base map does not act on the refinement's base")
     arcs = _arcs(refinement, base_map)
     if arcs is None:
         return
-    # each lift is the images of every arc's interval children, then of
-    # every arc's point children; one gather puts them in piece order
-    sources = [s for kind in (0, 1) for src, _ in arcs for s in src[kind]]
-    position = [0] * len(sources)
-    for j, s in enumerate(sources):
-        position[s] = j
-    # itemgetter of a single index returns the item, not a 1-tuple
-    gather = operator.itemgetter(*position) if len(position) > 1 else tuple
-    heads = itertools.product(*(itertools.permutations(dst[0]) for _, dst in arcs))
-    tails = [
-        tuple(itertools.chain.from_iterable(combo))
-        for combo in itertools.product(*(itertools.permutations(dst[1]) for _, dst in arcs))
-    ]
+    # a partition lists its non-point pieces before its points, so a lift's
+    # perm is its non-point images in piece order, then its point images
+    tails = list(_placed_choices(arcs, 1))
     refined = refinement.refined
-    for head in heads:
-        head = tuple(itertools.chain.from_iterable(head))
+    for head in _placed_choices(arcs, 0):
         for tail in tails:
-            yield _unchecked_piece_map(refined, gather(head + tail))
+            yield _unchecked_piece_map(refined, head + tail)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,10 @@ def load_instance(path: str, default_window: int = DEFAULT_WINDOW) -> Instance:
         raise InstanceFormatError(
             [f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"]
         ) from exc
+    except RecursionError as exc:
+        raise InstanceFormatError([f"{path}: nested too deeply to decode"]) from exc
+    except ValueError as exc:  # bytes that are not UTF-8, an integer past the digit limit
+        raise InstanceFormatError([f"{path}: {exc}"]) from exc
     return parse_instance(data, default_window)
 
 

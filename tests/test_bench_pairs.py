@@ -1,6 +1,7 @@
 """The pair summary of tools/bench_pairs.py, on canned result lines."""
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,25 @@ def test_workload_entry_counts_failures_per_side():
     assert entry["pairs"] == 2 and entry["first"] == ["parent", "change"]
     assert entry["failed"] == {"parent": 0, "change": 2}
     assert entry["attempted"] == {"parent": 80, "change": 80}
+
+
+def test_run_once_compiles_in_an_empty_bytecode_cache_of_its_own(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(argv, **kwargs):
+        env = kwargs["env"]
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((kwargs["cwd"], env, cache, cache.is_dir() and not any(cache.iterdir())))
+        return subprocess.CompletedProcess(argv, 0, canned(61, 1.0, 1.0), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    for _ in range(2):
+        run = bench_pairs.run_once(tmp_path, "atlas", 61, 1.0)
+        assert run["seed"] == 61
+    (cwd, env, cache, empty), (_, _, other, _) = seen
+    assert cwd == tmp_path and empty and cache != other
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert not cache.exists()  # removed after the run
+    # the rest of the caller's environment passes through
+    assert env["BENCH_PAIRS_PROBE"] == "kept"

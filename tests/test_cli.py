@@ -266,6 +266,13 @@ HOSTILE = {
     "<line base_perm without additions>": {**LINE, "base_perm": [0, 1, 2]},
     "<abstract base_perm without cells>": {**ONE_CELL, "base_perm": [0]},
 }
+# documents the JSON decoder itself refuses, as raw bytes
+UNDECODABLE = {
+    "<100,000 nested arrays>": b"[" * 100_000,
+    "<a stray 0xff byte>": b'{"type": "abstract", "pieces": 1, "perm": [0], "x": "\xff"}',
+    "<a 5,000-digit integer>": b'{"type": "abstract", "pieces": 1, "perm": [0], "window": '
+    + b"1" * 5000 + b"}",
+}
 DOCUMENTS = {
     HUGE_WINDOW: HUGE_WINDOW_DOC,
     "<additions keys 0 and 00>": ALIASED_ADDITIONS,
@@ -312,6 +319,7 @@ DOCUMENTS = {
         ["validate", "<real_line with cells>"],
         ["report", "<real_line with cells>"],
         *(["validate", name] for name in HOSTILE),
+        *([command, name] for name in UNDECODABLE for command in ("validate", "report")),
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
@@ -319,6 +327,9 @@ def test_bad_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     for i, (name, doc) in enumerate(DOCUMENTS.items()):
         paths[name] = tmp_path / f"document-{i}.json"
         paths[name].write_text(json.dumps(doc))
+    for i, (name, raw) in enumerate(UNDECODABLE.items()):
+        paths[name] = tmp_path / f"undecodable-{i}.json"
+        paths[name].write_bytes(raw)
     argv = [str(paths[arg]) if arg in paths else arg for arg in argv]
     try:
         code = main(argv)

@@ -97,6 +97,8 @@ def test_json_round_trip():
         ({"terms": {"x": [1]}}, "terms key 'x': not a degree"),
         ({"terms": {"0": "12"}}, "terms['0']: expected a list"),
         ([1], "terms: expected an object"),
+        ({"terms": {"0": [0.5]}}, "terms['0']: floats are not exact"),
+        ({"terms": {"0": ["1", [2]]}}, "terms['0']: cannot interpret [2]"),
     ],
 )
 def test_from_json_rejects_malformed_documents(data, message):

@@ -1,9 +1,11 @@
 """Lift enumeration, case classification, atlases, and counting."""
+import random
 from itertools import permutations, product
 
 import pytest
 
 from crossed_commutant import (
+    AbstractPartition,
     PiProfile,
     PieceMap,
     atlas_instances,
@@ -23,6 +25,7 @@ from crossed_commutant import (
     validate_refined_invariance,
 )
 from crossed_commutant.errors import ScaleExceeded
+from crossed_commutant.selftest import random_instance
 
 
 def one_interval_two_points():
@@ -111,12 +114,20 @@ def _stream_bases():
             if (k, p) != (3, 3):
                 refinement, base_map, _ = realize_pi(k, p, PiProfile(k=k, p=p, pi={1: p + 1}))
                 yield refinement, base_map
+    # abstract refinements have no point children: every lift is its cell images alone
+    rng = random.Random(3)
+    drawn = 0
+    while drawn < 40:
+        instance = random_instance(rng)
+        if instance.refined and isinstance(instance.refinement.base, AbstractPartition):
+            yield instance.refinement, instance.base_map
+            drawn += 1
     single = build_real_line_partition([])
     yield refine_real_line(single, {}), PieceMap(single, (0,))
 
 
 def test_stream_equals_the_arc_by_arc_reference_in_order():
-    bases = lifts = empty = 0
+    bases = lifts = empty = abstract = 0
     for refinement, base_map in _stream_bases():
         streamed = [pm.perm for pm in enumerate_refined_maps(refinement, base_map)]
         assert streamed == _reference_lifts(refinement, base_map)
@@ -125,9 +136,20 @@ def test_stream_equals_the_arc_by_arc_reference_in_order():
         bases += 1
         lifts += len(streamed)
         empty += not streamed
+        abstract += isinstance(refinement.refined, AbstractPartition) and len(streamed) > 1
     # the 1-piece refinement streams its single lift as a 1-tuple
     assert streamed == [(0,)]
-    assert empty > 0 and bases > 20 and lifts > 20_000
+    assert empty > 0 and bases > 20 and lifts > 20_000 and abstract >= 30
+
+
+@pytest.mark.parametrize("jump_points", [["5"], ["0", "1"]], ids=["same size", "larger"])
+def test_count_and_stream_reject_a_foreign_base_map(jump_points):
+    ref, _ = two_intervals_swapped()
+    foreign = PieceMap.identity(build_real_line_partition(jump_points))
+    with pytest.raises(ValueError, match="base map does not act on the refinement's base"):
+        count_refined_maps(ref, foreign)
+    with pytest.raises(ValueError, match="base map does not act on the refinement's base"):
+        list(enumerate_refined_maps(ref, foreign))
 
 
 def test_enumeration_orders_interval_wiring_outermost():

@@ -11,6 +11,8 @@ temporary directory that is removed afterwards.  Pair i runs
 ``perfbench/run.py --seed <seed + i>`` once on each side, with the same
 interpreter and settings; the parent runs first in even pairs and the change
 first in odd ones, so a drift of the machine's pace weighs on both sides.
+Every run compiles its sources afresh, with an empty bytecode cache of its
+own and no bytecode written, so neither side starts from cached bytecode.
 
 The output file records the machine, the interpreter and both revisions,
 and per workload and end-to-end metric each side's median, quartiles, run
@@ -155,11 +157,18 @@ def checkout(spec: str, workdir: Path, label: str) -> tuple[Path, str | None]:
 
 
 def run_once(directory: Path, workload: str, seed: int, seconds: float) -> dict:
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=directory, capture_output=True, text=True,
-    )
+    """One run in ``directory``, compiling its sources afresh.
+
+    Each run reads bytecode from its own empty cache and writes none, so a
+    checkout with a leftover ``__pycache__`` starts no faster than a fresh one.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache, "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=directory, env=env, capture_output=True, text=True,
+        )
     if done.returncode != 0:
         raise SystemExit(f"run in {directory} (seed {seed}) exited {done.returncode}:\n{done.stderr}")
     return parse_result(done.stdout)
