@@ -160,7 +160,10 @@ class CrossedElement:
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"terms[{key!r}]: {exc}") from None
             first[degree] = key
-        return crossed_element(vectors)
+        try:
+            return crossed_element(vectors)
+        except PartitionMismatch as exc:
+            raise ValueError(str(exc)) from None
 
 
 def crossed_element(terms: Mapping[int, VectorLike]) -> CrossedElement:

@@ -99,6 +99,7 @@ def test_json_round_trip():
         ([1], "terms: expected an object"),
         ({"terms": {"0": [0.5]}}, "terms['0']: floats are not exact"),
         ({"terms": {"0": ["1", [2]]}}, "terms['0']: cannot interpret [2]"),
+        ({"terms": {"0": ["1"], "1": ["1", "2"]}}, "terms have mixed vector lengths: [1, 2]"),
     ],
 )
 def test_from_json_rejects_malformed_documents(data, message):
