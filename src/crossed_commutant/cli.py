@@ -47,6 +47,12 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    if not text.strip().removeprefix("+").isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("instance", nargs="?", help="path to a JSON instance file")
     sub.add_argument(
@@ -323,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="total number of jump points to add")
     p_atlas.add_argument("--base-n", type=_count, default=None, metavar="N",
                          help="jump points in the base (default: minimal)")
-    p_atlas.add_argument("--max-lifts", type=int, default=1_000_000,
+    p_atlas.add_argument("--max-lifts", type=_positive, default=1_000_000,
                          help="budget on lifts per base map")
     p_atlas.add_argument("--json", action="store_true", help="machine-readable output")
     p_atlas.set_defaults(func=cmd_atlas)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .commutant import DifferenceDescription, commutant_difference
-from .dynamics import PieceMap, _unchecked_piece_map, perm_cycles
+from .dynamics import PieceMap, _gather, _part_class_sizes, _unchecked_piece_map, perm_cycles
 from .errors import ScaleExceeded
 from .partition import (
     Refinement,
@@ -122,13 +122,19 @@ class CaseSignature:
         return ", ".join(f"(k={k}, l={l}) x{size}" for k, l, size in self.triples)
 
 
+def _signature_triples(*parts) -> tuple[tuple[int, int, int], ...]:
+    """Sorted (k, l, size) over the classes with l >= 2, summing the sizes of disjoint parts."""
+    sizes: dict[tuple[int, int], int] = {}
+    for part in parts:
+        for kl, size in part:
+            sizes[kl] = sizes.get(kl, 0) + size
+    return tuple(sorted((k, l, size) for (k, l), size in sizes.items() if l >= 2 and size))
+
+
 def case_signature(difference: DifferenceDescription) -> CaseSignature:
-    triples = sorted(
-        (k, l, len(pieces))
-        for (k, l), pieces in difference.tilde_classes.items()
-        if l >= 2 and pieces
+    return CaseSignature(
+        _signature_triples((kl, len(pieces)) for kl, pieces in difference.tilde_classes.items())
     )
-    return CaseSignature(tuple(triples))
 
 
 @dataclass
@@ -142,24 +148,45 @@ def classify_cases(instances: Iterable[Instance]) -> dict[CaseSignature, CaseGro
     """Group instances by case signature, keeping a deterministic representative.
 
     The representative is minimal by (piece count, base perm, refined perm),
-    so reruns over the same stream pick the same witnesses.
+    so reruns over the same stream pick the same witnesses.  A lift's class
+    sizes are its non-point part's plus its point part's, each distinct part
+    classified once per base map; the rest goes through ``commutant_difference``.
     """
-    groups: dict[CaseSignature, CaseGroup] = {}
-    keys: dict[CaseSignature, tuple] = {}
+    found: dict[tuple, list] = {}  # triples -> [count, key, representative]
+    run = None
     for instance in instances:
         refinement, base_map, refined_map = instance
-        sig = case_signature(commutant_difference(refinement, base_map, refined_map))
+        if run is None or run[0] is not refinement or run[1] is not base_map:
+            run, heads, tails, table = (refinement, base_map), {}, {}, {}
+            own = base_map.partition is refinement.base
+            if own:
+                k_of = _gather(base_map.cycle_classification.period_of, refinement.parent_of)
+                want = _gather(base_map.perm, refinement.parent_of)
+                h = sum(len(kinds[0]) for kinds in refinement.kind_split)
+        triples = None
+        if own and refined_map.partition is refinement.refined:
+            head, tail = refined_map.perm[:h], refined_map.perm[h:]
+            if head not in heads:
+                heads[head] = _part_class_sizes(refinement, k_of, want, 0, head)
+            if tail not in tails:
+                tails[tail] = _part_class_sizes(refinement, k_of, want, h, tail)
+            parts = heads[head], tails[tail]
+            if None not in parts:
+                triples = table.get(parts)
+                if triples is None:
+                    triples = table[parts] = _signature_triples(*parts)
+        if triples is None:
+            triples = case_signature(commutant_difference(refinement, base_map, refined_map)).triples
         key = (refinement.refined.piece_count, base_map.perm, refined_map.perm)
-        group = groups.get(sig)
-        if group is None:
-            groups[sig] = CaseGroup(signature=sig, count=1, representative=instance)
-            keys[sig] = key
+        entry = found.get(triples)
+        if entry is None:
+            found[triples] = [1, key, instance]
         else:
-            group.count += 1
-            if key < keys[sig]:
-                group.representative = instance
-                keys[sig] = key
-    return groups
+            entry[0] += 1
+            if key < entry[1]:
+                entry[1:] = key, instance
+    groups = [CaseGroup(CaseSignature(t), count, rep) for t, (count, _, rep) in found.items()]
+    return {group.signature: group for group in groups}
 
 
 # ---------------------------------------------------------------------------

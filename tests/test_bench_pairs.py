@@ -70,6 +70,41 @@ def test_gain_needs_nine_wins_in_ten_and_a_median_beyond_the_parent_spread():
     assert not bench_pairs.compare(parent, mixed, DECLARED)["items_per_s"]["gain_holds"]
 
 
+def test_within_bound_compares_the_medians_against_the_relative_bound():
+    parent = runs([(100, 10)] * 3)
+    out = bench_pairs.compare(parent, runs([(76, 12.5)] * 3), DECLARED)
+    assert out["items_per_s"]["within_bound"] and out["op_p50_ms"]["within_bound"]
+    out = bench_pairs.compare(parent, runs([(74, 12.6)] * 3), DECLARED)
+    assert not out["items_per_s"]["within_bound"] and not out["op_p50_ms"]["within_bound"]
+    # a better median is always within the bound
+    out = bench_pairs.compare(parent, runs([(300, 1)] * 3), DECLARED)
+    assert out["items_per_s"]["within_bound"] and out["op_p50_ms"]["within_bound"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--workload", "nope"], "--workload must be one of report, atlas, lift-stream, selftest"),
+        (["--workload", "atlas", "--seconds", "0"], "--seconds must be a positive number"),
+        (["--workload", "atlas", "--seconds", "-2"], "--seconds must be a positive number"),
+        (["--workload", "atlas", "--seconds", "nan"], "--seconds must be a positive number"),
+    ],
+)
+def test_bad_workload_or_seconds_is_refused_before_any_checkout(monkeypatch, capsys, tmp_path,
+                                                                args, message):
+    def no_checkout(*args):
+        raise AssertionError("checked out before refusing the arguments")
+
+    monkeypatch.setattr(bench_pairs, "checkout", no_checkout)
+    monkeypatch.setattr(bench_pairs, "run_once", no_checkout)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD~1", "--change", "HEAD",
+                          "--out", str(tmp_path / "out.json"), *args])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_sides_must_share_seeds_in_order():
     with pytest.raises(ValueError):
         bench_pairs.compare(runs([(1, 1)] * 2), list(reversed(runs([(1, 1)] * 2))), DECLARED)

@@ -320,6 +320,7 @@ DOCUMENTS = {
         ["report", "<real_line with cells>"],
         *(["validate", name] for name in HOSTILE),
         *([command, name] for name in UNDECODABLE for command in ("validate", "report")),
+        ["atlas", "--points", "1", "--max-lifts", "-5"],
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
@@ -339,6 +340,15 @@ def test_bad_arguments_exit_two_without_traceback(capsys, tmp_path, argv):
     assert code == 2
     assert "Traceback" not in err
     assert err.strip()
+
+
+@pytest.mark.parametrize("budget", ["-5", "0", "1.5"])
+def test_max_lifts_below_one_is_refused_by_the_parser(capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["atlas", "--points", "1", "--max-lifts", budget])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument --max-lifts: expected a positive integer, got '{budget}'" in err
 
 
 @pytest.mark.parametrize("doc", [ONE_CELL, TWO_CELLS, LINE, LINE_REFINED, CELLS_REFINED])

@@ -24,7 +24,7 @@ from crossed_commutant import (
     refine_real_line,
     validate_refined_invariance,
 )
-from crossed_commutant.errors import ScaleExceeded
+from crossed_commutant.errors import LiftInconsistent, PartitionMismatch, ScaleExceeded
 from crossed_commutant.selftest import random_instance
 
 
@@ -249,10 +249,11 @@ def test_atlas_refuses_before_classifying_any_lift(points, base_n, monkeypatch):
     import crossed_commutant.enumeration as enumeration
 
     calls = []
-    real = enumeration.commutant_difference
-    monkeypatch.setattr(
-        enumeration, "commutant_difference", lambda *args: calls.append(args) or real(*args)
-    )
+    for name in ("commutant_difference", "_part_class_sizes"):
+        real = getattr(enumeration, name)
+        monkeypatch.setattr(
+            enumeration, name, lambda *args, real=real: calls.append(args) or real(*args)
+        )
     with pytest.raises(ScaleExceeded):
         classify_cases(atlas_instances(points, base_n=base_n))
     assert calls == []
@@ -261,8 +262,9 @@ def test_atlas_refuses_before_classifying_any_lift(points, base_n, monkeypatch):
 def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
     import crossed_commutant.commutant as commutant
     import crossed_commutant.dynamics as dynamics
+    import crossed_commutant.enumeration as enumeration
 
-    calls = {"perm_cycles": 0, "cycle_lengths": 0, "commutant_description": 0}
+    calls = {"perm_cycles": 0, "cycle_lengths": 0, "commutant_description": 0, "commutant_difference": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -287,18 +289,27 @@ def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
     counted(dynamics, "cycle_lengths")
     counted(commutant, "cycle_lengths")
     counted(commutant, "commutant_description")
+    counted(enumeration, "commutant_difference")
     constructed(commutant.SubalgebraView)
     constructed(commutant.CommutantDescription)
     instances = list(atlas_instances(3))
     groups = classify_cases(instances)
     assert sum(g.count for g in groups.values()) == 264
-    # one orbit walk per lift, and one per base map (14 of them admit lifts)
-    # inside its cycle_lengths; the signature reads only the (k, l) classes,
-    # so no description is built
+    # a lift is its interval images (head) then its point images (tail); each
+    # distinct head and tail of a base map is walked once
+    parts = set()
+    for ref, bm, rm in instances:
+        h = ref.refined.n + 1
+        parts |= {(id(bm), "head", rm.perm[:h]), (id(bm), "tail", rm.perm[h:])}
+    assert len(parts) == 152
+    # plus one walk per base map (14 of them admit lifts) inside its
+    # cycle_lengths; no lift takes the general path, and the signature reads
+    # only the (k, l) class sizes, so no description is built
     assert calls == {
-        "perm_cycles": 264 + 14,
+        "perm_cycles": 152 + 14,
         "cycle_lengths": 14,
         "commutant_description": 0,
+        "commutant_difference": 0,
         "SubalgebraView": 0,
         "CommutantDescription": 0,
     }
@@ -311,4 +322,132 @@ def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
     assert diff.coarse.class_pieces and diff.refined.class_pieces
     assert calls["SubalgebraView"] == 2 and calls["CommutantDescription"] == 2
     assert calls["cycle_lengths"] == 14
-    assert calls["perm_cycles"] == 264 + 14 + 1
+    assert calls["perm_cycles"] == 152 + 14 + 1
+
+
+# (points, base_n) of every census in the benchmark's atlas workload
+ATLAS_CENSUSES = [(2, None), (2, 2), (1, 3), (3, None), (2, 3), (3, 2), (3, 3), (4, None)]
+
+
+def _reference_cases(instances):
+    """Per instance, the signature of its commutant difference; minimal representatives."""
+    groups = {}
+    for instance in instances:
+        ref, bm, rm = instance
+        signature = case_signature(commutant_difference(ref, bm, rm))
+        key = (ref.refined.piece_count, bm.perm, rm.perm)
+        count, best, representative = groups.get(signature, (0, key, instance))
+        if key < best:
+            best, representative = key, instance
+        groups[signature] = (count + 1, best, representative)
+    return [(sig, count, rep) for sig, (count, _, rep) in groups.items()]
+
+
+def _cases(groups):
+    return [(sig, g.count, g.representative) for sig, g in groups.items()]
+
+
+def _same_cases(got, want):
+    """Equal signatures and counts in the same order, and the very same representatives."""
+    if [(sig, count) for sig, count, _ in got] != [(sig, count) for sig, count, _ in want]:
+        return False
+    return all(a is b for (_, _, a), (_, _, b) in zip(got, want))
+
+
+def test_classify_cases_equals_the_per_lift_reference_on_the_censuses():
+    censuses = [
+        list(atlas_instances(points, base_n, max_pieces=15))
+        for points, base_n in ATLAS_CENSUSES + [(m, None) for m in range(5)]
+    ]
+    assert sum(map(len, censuses)) == 13_380 + 1 + 2 + 20 + 264 + 5952
+    for instances in censuses:
+        assert _same_cases(_cases(classify_cases(instances)), _reference_cases(instances))
+    # shuffled, the refinement or the base map changes on almost every lift
+    shuffled = [instance for instances in censuses for instance in instances]
+    random.Random(10).shuffle(shuffled)
+    got = _cases(classify_cases(shuffled))
+    assert _same_cases(got, _reference_cases(shuffled)) and len(got) == 34
+
+
+def test_classify_cases_equals_the_per_lift_reference_on_random_instances():
+    rng = random.Random(10)
+    drawn = []
+    while len(drawn) < 300:
+        instance = random_instance(rng)
+        if instance.refined:
+            drawn.append((instance.refinement, instance.base_map, instance.refined_map))
+    # abstract refinements have no points: every cell is in the head, the tail is empty
+    abstract = sum(isinstance(ref.refined, AbstractPartition) for ref, _, _ in drawn)
+    assert 100 < abstract < 200
+    assert _same_cases(_cases(classify_cases(drawn)), _reference_cases(drawn))
+
+
+def test_classify_cases_leaves_what_the_parts_cannot_vouch_for_to_the_general_path(monkeypatch):
+    import crossed_commutant.enumeration as enumeration
+
+    # a valid lift whose head is not closed: the interval I_2 swaps with the point {1}
+    base = build_real_line_partition(["1"])
+    ref = refine_real_line(base, {0: ["0"]})
+    bm, rm = PieceMap(base, (0, 2, 1)), PieceMap(ref.refined, (0, 1, 4, 3, 2))
+    assert validate_refined_invariance(ref, bm, rm).ok
+    calls = []
+    real = enumeration.commutant_difference
+    monkeypatch.setattr(
+        enumeration, "commutant_difference", lambda *args: calls.append(args) or real(*args)
+    )
+    groups = classify_cases([(ref, bm, rm)])
+    assert [str(sig) for sig in groups] == ["no difference"] and len(calls) == 1
+    # maps on equal partitions that are other objects take the general path too
+    swap_ref, swap_bm = two_intervals_swapped()
+    copy_ref, copy_bm = two_intervals_swapped()
+    lifts = [(swap_ref, swap_bm, rm) for rm in enumerate_refined_maps(swap_ref, swap_bm)]
+    mixed = [
+        (swap_ref, copy_bm, lifts[0][2]),
+        (swap_ref, swap_bm, PieceMap(copy_ref.refined, lifts[1][2].perm)),
+        *lifts,
+    ]
+    calls.clear()
+    got = _cases(classify_cases(mixed))
+    assert len(calls) == 2
+    assert _same_cases(got, _reference_cases(mixed))
+
+
+def _non_lift(case):
+    ref, swap = two_intervals_swapped()  # intervals 0-3, points 4-6
+    if case == "head":  # I_0's children swap with I_1's, but the base map fixes both
+        return ref, PieceMap.identity(ref.base), (2, 3, 0, 1, 4, 5, 6)
+    if case == "tail":  # the points stay while their intervals swap
+        return ref, swap, (2, 3, 1, 0, 4, 5, 6)
+    # a base map on a partition of the same size that is not the refinement's base
+    return ref, PieceMap(build_real_line_partition(["5"]), (1, 0, 2)), (2, 3, 1, 0, 6, 5, 4)
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [("head", LiftInconsistent), ("tail", LiftInconsistent), ("foreign base", PartitionMismatch)],
+)
+def test_classify_cases_raises_what_commutant_difference_raises(case, error):
+    ref, bm, perm = _non_lift(case)
+    rm = PieceMap(ref.refined, perm)
+    with pytest.raises(error) as expected:
+        commutant_difference(ref, bm, rm)
+    # after a valid lift of the same base map, when there is one
+    valid = list(enumerate_refined_maps(ref, bm))[:1] if bm.partition is ref.base else []
+    with pytest.raises(error) as got:
+        classify_cases([(ref, bm, lift) for lift in valid] + [(ref, bm, rm)])
+    assert type(got.value) is error
+    assert str(got.value) == str(expected.value)
+
+
+def test_part_class_sizes_refuse_a_part_off_the_lift_law_or_the_divisibility_rule():
+    from crossed_commutant.dynamics import _part_class_sizes
+
+    ref, _ = one_interval_two_points()  # intervals 0, 1, 2 and points 3, 4, all in I_0
+    fixed = (0, 0, 0, 0, 0)
+    assert _part_class_sizes(ref, (1,) * 5, fixed, 0, (1, 2, 0)) == (((1, 3), 3),)
+    assert _part_class_sizes(ref, (1,) * 5, fixed, 3, (4, 3)) == (((1, 2), 2),)
+    assert _part_class_sizes(ref, (1,) * 5, fixed, 3, ()) == ()
+    # not closed, off the lift law, a fine period 1 under a parent of period 2
+    assert _part_class_sizes(ref, (1,) * 5, fixed, 3, (2, 3)) is None
+    assert _part_class_sizes(ref, (1,) * 5, (0, 0, 0, 1, 0), 3, (4, 3)) is None
+    assert _part_class_sizes(ref, (2,) * 5, fixed, 0, (0, 1, 2)) is None

@@ -18,7 +18,9 @@ The output file records the machine, the interpreter and both revisions,
 and per workload and end-to-end metric each side's median, quartiles, run
 count and seeds, the number of pairs the change won, and whether a gain
 holds: the change wins at least nine pairs in ten and its median is better
-than the parent's by more than the parent's interquartile range.  Each
+than the parent's by more than the parent's interquartile range.  A metric
+is within its bound unless the change's median is worse than the parent's by
+more than the metric's relative ``bound`` in ``BENCHMARK.json``.  Each
 workload is its own entry; an existing file measured on the same two
 revisions, interpreter and machine keeps its other workloads.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -90,6 +93,7 @@ def compare(parent_runs: list[dict], change_runs: list[dict], declared: list[dic
             "change_wins": wins,
             "ratio": change["median"] / parent["median"] if parent["median"] else None,
             "gain_holds": wins * 10 >= 9 * len(seeds) and gain > parent["q3"] - parent["q1"],
+            "within_bound": -gain <= metric["bound"] * abs(parent["median"]),
         }
     return out
 
@@ -186,6 +190,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if not 0 < args.seconds < math.inf:
+        parser.error("--seconds must be a positive number")
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    if args.workload not in workloads:
+        parser.error(f"--workload must be one of {', '.join(workloads)}, got {args.workload!r}")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         sides = {label: checkout(spec, Path(tmp), label)
