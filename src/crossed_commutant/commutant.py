@@ -9,9 +9,12 @@ the n-th transport apart from itself.  A fine piece is separated exactly
 when the period of its coarse piece under the descended map does not divide
 n, so the separation sets are unions of whole period classes and are
 described once by a divisibility rule rather than degree by degree.  The
-elements of the crossed product commuting with all of A are those whose
-degree-n coefficient vanishes on the degree-n separation set; they form the
-unique maximal commutative subalgebra containing A when A separates enough.
+rule lives in ``CommutantDescription`` alone, and ``sep_set`` reads the one
+description cached per (view, map); its tables depend on n mod the lcm of the
+class periods only, so each is computed once per residue.  The elements of
+the crossed product commuting with all of A are those whose degree-n
+coefficient vanishes on the degree-n separation set; they form the unique
+maximal commutative subalgebra containing A when A separates enough.
 
 ``brute_force_sep`` evaluates the defining condition literally, generator by
 generator, and serves as the independent oracle for ``sep_set``.
@@ -19,10 +22,11 @@ generator, and serves as the independent oracle for ``sep_set``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping
+from functools import cached_property, wraps
+from math import lcm
+from typing import Callable, Mapping
 
 from .crossed import (
     CoefficientVector,
@@ -42,8 +46,32 @@ from .errors import LiftInconsistent, MapDoesNotDescend, PartitionMismatch
 from .partition import Partition, Refinement
 
 
+class _Memo:
+    """Caches kept beside a frozen dataclass's fields; copies carry the fields only."""
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _periodic(table: Callable[..., frozenset[int]]) -> Callable[..., frozenset[int]]:
+    """Memoise a degree table by n mod ``period``: it depends on nothing else."""
+
+    @wraps(table)
+    def read(self, n: int) -> frozenset[int]:
+        key = (table, n % self.period)
+        if key not in self._memo:
+            self._memo[key] = table(self, key[1])
+        return self._memo[key]
+
+    return read
+
+
 @dataclass(frozen=True)
-class SubalgebraView:
+class SubalgebraView(_Memo):
     """A coarse partition embedded in the partition the dynamics lives on."""
 
     ambient: Partition
@@ -92,21 +120,15 @@ def descend_map(view: SubalgebraView, piece_map: PieceMap) -> tuple[int, ...]:
     return tuple(coarse)  # type: ignore[arg-type]
 
 
-def _coarse_periods(view: SubalgebraView, piece_map: PieceMap) -> tuple[int, ...]:
-    return cycle_lengths(descend_map(view, piece_map))
-
-
 def sep_set(view: SubalgebraView, piece_map: PieceMap, n: int) -> frozenset[int]:
     """Fine pieces where the coarse algebra separates the n-th transport.
 
     A fine piece belongs to the set exactly when the period of its coarse
     piece under the descended permutation does not divide n; degree 0 always
-    yields the empty set.
+    yields the empty set.  The set is read from the one description cached
+    for (view, map), whose tables are periodic in n.
     """
-    periods = _coarse_periods(view, piece_map)
-    return frozenset(
-        p for p in range(view.ambient.piece_count) if n % periods[view.embed[p]] != 0
-    )
+    return commutant_description(view, piece_map).sep(n)
 
 
 def brute_force_sep(view: SubalgebraView, piece_map: PieceMap, n: int) -> frozenset[int]:
@@ -129,13 +151,13 @@ def brute_force_sep(view: SubalgebraView, piece_map: PieceMap, n: int) -> frozen
 
 
 @dataclass(frozen=True)
-class CommutantDescription:
+class CommutantDescription(_Memo):
     """Intensional description of the commutant of a coarse subalgebra.
 
     ``class_pieces[k]`` collects the fine pieces whose coarse piece has
     period k.  The degree-n component of the commutant is supported exactly
     on the union of the classes with k dividing n, for every integer n at
-    once.
+    once; this is the one home of that divisibility rule.
     """
 
     view: SubalgebraView
@@ -145,13 +167,16 @@ class CommutantDescription:
     def piece_count(self) -> int:
         return self.view.ambient.piece_count
 
-    def allowed(self, n: int) -> frozenset[int]:
-        out: set[int] = set()
-        for k, pieces in self.class_pieces.items():
-            if n % k == 0:
-                out |= pieces
-        return frozenset(out)
+    @cached_property
+    def period(self) -> int:
+        """The lcm of the class periods; every table depends on n mod it only."""
+        return lcm(*self.class_pieces)
 
+    @_periodic
+    def allowed(self, n: int) -> frozenset[int]:
+        return frozenset().union(*(v for k, v in self.class_pieces.items() if n % k == 0))
+
+    @_periodic
     def sep(self, n: int) -> frozenset[int]:
         return frozenset(range(self.piece_count)) - self.allowed(n)
 
@@ -161,22 +186,27 @@ class CommutantDescription:
             + ", ".join(self.view.ambient.label_of(p) for p in sorted(pieces))
             for k, pieces in sorted(self.class_pieces.items())
         ]
-        return (
-            "degree n allows exactly the pieces whose period divides n ("
-            + "; ".join(parts)
-            + ")"
-        )
+        return f"degree n allows exactly the pieces whose period divides n ({'; '.join(parts)})"
 
 
 def commutant_description(view: SubalgebraView, piece_map: PieceMap) -> CommutantDescription:
-    periods = _coarse_periods(view, piece_map)
+    """The commutant of the view's coarse algebra under the map, cached per (view, map).
+
+    A map on another partition, or one that does not descend, raises on every call.
+    """
+    if piece_map.partition != view.ambient:
+        raise PartitionMismatch("map does not act on the view's fine partition")
+    # id(map) -> (map, description); holding the map keeps its id from reuse
+    cached = view._memo.get(id(piece_map))
+    if cached is not None:
+        return cached[1]
+    periods = cycle_lengths(descend_map(view, piece_map))
     grouped: dict[int, set[int]] = {}
-    for p in range(view.ambient.piece_count):
-        grouped.setdefault(periods[view.embed[p]], set()).add(p)
-    return CommutantDescription(
-        view=view,
-        class_pieces={k: frozenset(v) for k, v in sorted(grouped.items())},
-    )
+    for p, q in enumerate(view.embed):
+        grouped.setdefault(periods[q], set()).add(p)
+    description = CommutantDescription(view, {k: frozenset(v) for k, v in sorted(grouped.items())})
+    view._memo[id(piece_map)] = (piece_map, description)
+    return description
 
 
 @dataclass(frozen=True)
@@ -194,10 +224,9 @@ def is_in_commutant(elem: CrossedElement, description: CommutantDescription) -> 
     if elem.size is not None and elem.size != description.piece_count:
         raise PartitionMismatch("element does not live on the description's partition")
     for n, vec in elem.terms:
-        allowed = description.allowed(n)
-        for p, value in enumerate(vec.values):
-            if value != 0 and p not in allowed:
-                return MembershipResult(member=False, witness=(n, p))
+        outside = vec.support() - description.allowed(n)
+        if outside:
+            return MembershipResult(member=False, witness=(n, min(outside)))
     return MembershipResult(member=True, witness=None)
 
 
@@ -259,7 +288,7 @@ def refined_sep(
 
 
 @dataclass(frozen=True)
-class DifferenceDescription:
+class DifferenceDescription(_Memo):
     """Where the coarse commutant exceeds the refined one, per degree.
 
     A fine piece in class (k, l) is allowed at degree n by the coarse
@@ -270,6 +299,11 @@ class DifferenceDescription:
 
     refinement: Refinement
     tilde_classes: Mapping[tuple[int, int], frozenset[int]]
+
+    @property
+    def period(self) -> int:
+        """The lcm of the fine periods k*l: the refined commutant's period."""
+        return self.refined.period
 
     @cached_property
     def coarse(self) -> CommutantDescription:
@@ -288,22 +322,12 @@ class DifferenceDescription:
             grouped[key] = grouped.get(key, frozenset()) | pieces
         return CommutantDescription(view, dict(sorted(grouped.items())))
 
+    @_periodic
     def forbidden_at(self, n: int) -> frozenset[int]:
-        out: set[int] = set()
-        for (k, l), pieces in self.tilde_classes.items():
-            if n % k == 0 and (n // k) % l != 0:
-                out |= pieces
-        return frozenset(out)
+        return self.coarse.allowed(n) - self.refined.allowed(n)
 
     def active_classes(self) -> dict[tuple[int, int], frozenset[int]]:
         return {(k, l): v for (k, l), v in sorted(self.tilde_classes.items()) if l >= 2}
-
-    def is_coarse_only(self, elem: CrossedElement) -> bool:
-        """Membership in the coarse commutant but not the refined one."""
-        return (
-            is_in_commutant(elem, self.coarse).member
-            and not is_in_commutant(elem, self.refined).member
-        )
 
 
 def commutant_difference(

@@ -31,7 +31,7 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """One rational value per piece; the function constant on each piece."""
+    """One rational value per piece; operations skip arithmetic on zero entries."""
 
     values: tuple[Fraction, ...]
 
@@ -42,43 +42,39 @@ class CoefficientVector:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def zeros(cls, size: int) -> "CoefficientVector":
-        return cls((_ZERO,) * size)
-
-    @classmethod
-    def ones(cls, size: int) -> "CoefficientVector":
-        return cls((_ONE,) * size)
-
-    @classmethod
     def indicator(cls, size: int, pieces: Iterable[int]) -> "CoefficientVector":
-        chosen = set(pieces)
-        return cls(tuple(_ONE if i in chosen else _ZERO for i in range(size)))
+        values = [_ZERO] * size
+        for i in pieces:
+            if not 0 <= i < size:
+                raise ValueError(f"piece {i} is not among the {size} pieces")
+            values[i] = _ONE
+        return _vector(tuple(values))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.values)
 
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, v in enumerate(self.values) if v != 0)
+        return frozenset(i for i, v in enumerate(self.values) if v)
 
     def __add__(self, other: "CoefficientVector") -> "CoefficientVector":
         self._check(other)
-        return CoefficientVector(tuple(a + b for a, b in zip(self.values, other.values)))
+        return _vector(tuple(a + b if a and b else a or b for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other: "CoefficientVector") -> "CoefficientVector":
         self._check(other)
-        return CoefficientVector(tuple(a - b for a, b in zip(self.values, other.values)))
+        return _vector(tuple(a - b if b else a for a, b in zip(self.values, other.values)))
 
     def __mul__(self, other: "CoefficientVector") -> "CoefficientVector":
         """Pointwise product: multiplication in the function algebra."""
         self._check(other)
-        return CoefficientVector(tuple(a * b for a, b in zip(self.values, other.values)))
+        return _vector(tuple(a * b if a and b else _ZERO for a, b in zip(self.values, other.values)))
 
     def scale(self, c: RationalLike) -> "CoefficientVector":
         c = as_fraction(c)
-        return CoefficientVector(tuple(c * v for v in self.values))
+        return _vector(tuple(c * v if v else _ZERO for v in self.values))
 
     def _check(self, other: "CoefficientVector") -> None:
         if len(self.values) != len(other.values):
@@ -87,13 +83,14 @@ class CoefficientVector:
             )
 
 
+def _vector(values: tuple[Fraction, ...]) -> CoefficientVector:
+    # trusted constructor for results built from Fractions only: no type re-check
+    vec = object.__new__(CoefficientVector)
+    vec.__dict__["values"] = values
+    return vec
+
+
 VectorLike = Union[CoefficientVector, Sequence[RationalLike]]
-
-
-def _as_vector(value: VectorLike) -> CoefficientVector:
-    if isinstance(value, CoefficientVector):
-        return value
-    return CoefficientVector(tuple(value))
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,10 @@ class CrossedElement:
 
 def crossed_element(terms: Mapping[int, VectorLike]) -> CrossedElement:
     """Build the normal form, pruning zero vectors and fixing the order."""
-    vectors = {int(n): _as_vector(vec) for n, vec in terms.items()}
+    vectors = {
+        int(n): v if isinstance(v, CoefficientVector) else CoefficientVector(tuple(v))
+        for n, v in terms.items()
+    }
     sizes = {len(v) for v in vectors.values()}
     if len(sizes) > 1:
         raise PartitionMismatch(f"terms have mixed vector lengths: {sorted(sizes)}")
@@ -201,7 +201,7 @@ def sigma_tilde_pow(f: CoefficientVector, piece_map: PieceMap, n: int) -> Coeffi
     back = memo.get(key)
     if back is None:
         back = memo[key] = perm_power(piece_map.perm, -key)
-    return CoefficientVector(tuple(map(f.values.__getitem__, back)))
+    return _vector(tuple(map(f.values.__getitem__, back)))
 
 
 def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> CrossedElement:

@@ -49,11 +49,6 @@ def perm_inverse(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def perm_compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
-    """Apply ``inner`` first, then ``outer``."""
-    return tuple(outer[inner[i]] for i in range(len(inner)))
-
-
 def perm_cycles(perm: Sequence[int]) -> list[tuple[int, ...]]:
     """Cycle decomposition; each cycle starts at its least element."""
     seen = [False] * len(perm)
@@ -293,10 +288,6 @@ class RefinedCycleClassification:
     refinement: Refinement
     base: CycleClassification
     tilde_classes: Mapping[tuple[int, int], frozenset[int]]
-
-    @property
-    def base_period_of(self) -> tuple[int, ...]:
-        return self.base.period_of
 
     @cached_property
     def multiplier_of(self) -> tuple[int, ...]:

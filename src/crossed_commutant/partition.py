@@ -301,25 +301,12 @@ def refine_real_line(
     pieces: list[Piece] = []
     for alpha in range(n + 1):
         inserted = adds.get(alpha, ())
-        if not inserted:
-            pieces.append(
-                Piece(
-                    id=len(pieces),
-                    kind=PieceKind.INTERVAL,
-                    label=base.label_of(alpha),
-                    parent=alpha,
-                )
-            )
-            continue
-        for j in range(1, len(inserted) + 2):
-            pieces.append(
-                Piece(
-                    id=len(pieces),
-                    kind=PieceKind.INTERVAL,
-                    label=f"I_{alpha}^{j}",
-                    parent=alpha,
-                )
-            )
+        if inserted:
+            labels = [f"I_{alpha}^{j}" for j in range(1, len(inserted) + 2)]
+        else:
+            labels = [base.label_of(alpha)]
+        for label in labels:
+            pieces.append(Piece(id=len(pieces), kind=PieceKind.INTERVAL, label=label, parent=alpha))
 
     added_rank = {s: i + 1 for i, s in enumerate(sorted(all_added))}
     base_point_id = {t: n + 1 + j for j, t in enumerate(base.jump_points)}
@@ -331,9 +318,7 @@ def refine_real_line(
         else:
             parent = owner[value]
             label = f"{{s_{added_rank[value]}}}"
-        pieces.append(
-            Piece(id=len(pieces), kind=PieceKind.POINT, label=label, parent=parent)
-        )
+        pieces.append(Piece(id=len(pieces), kind=PieceKind.POINT, label=label, parent=parent))
 
     refined = RealLinePartition(jump_points=new_jumps, pieces=tuple(pieces))
     parent_of = tuple(p.parent for p in pieces)  # type: ignore[arg-type]

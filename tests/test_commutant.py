@@ -1,4 +1,6 @@
 """Subalgebra views, separation sets, and commutant descriptions."""
+import copy
+import pickle
 import random
 
 import pytest
@@ -22,7 +24,7 @@ from crossed_commutant import (
     refined_sep,
     sep_set,
 )
-from crossed_commutant.errors import LiftInconsistent, MapDoesNotDescend
+from crossed_commutant.errors import LiftInconsistent, MapDoesNotDescend, PartitionMismatch
 from crossed_commutant.selftest import random_instance
 
 
@@ -166,12 +168,16 @@ def test_difference_descriptions_are_built_once():
 def test_is_coarse_only_detects_the_gap():
     ref, bm, rm = crossed_fixture()
     diff = commutant_difference(ref, bm, rm)
-    gap = crossed_element({2: [1, 0, 0, 0, 0, 0, 0]})
-    assert diff.is_coarse_only(gap)
-    both = crossed_element({2: [0, 0, 0, 0, 1, 0, 0]})
-    assert not diff.is_coarse_only(both)
-    neither = crossed_element({1: [1, 0, 0, 0, 0, 0, 0]})
-    assert not diff.is_coarse_only(neither)
+
+    def coarse_only(elem):
+        return (
+            is_in_commutant(elem, diff.coarse).member
+            and not is_in_commutant(elem, diff.refined).member
+        )
+
+    assert coarse_only(crossed_element({2: [1, 0, 0, 0, 0, 0, 0]}))
+    assert not coarse_only(crossed_element({2: [0, 0, 0, 0, 1, 0, 0]}))
+    assert not coarse_only(crossed_element({1: [1, 0, 0, 0, 0, 0, 0]}))
 
 
 def test_sep_formula_equals_oracle_on_random_instances():
@@ -205,6 +211,90 @@ def test_oracle_sweep_transports_by_one_power_per_residue(monkeypatch):
             for n in range(-12, 13):
                 assert brute_force_sep(view, refined_map, n) == sep_set(view, refined_map, n)
         assert 1 <= len(calls) <= min(refined_map.period, 25)
+
+
+def _views_of(inst):
+    views = [SubalgebraView.identity(inst.refinement.refined)]
+    if inst.refined:
+        views.append(SubalgebraView.of_refinement(inst.refinement))
+    return views
+
+
+def test_cached_tables_equal_the_oracle_with_one_descent_per_view_and_map(monkeypatch):
+    import crossed_commutant.commutant as commutant
+
+    calls = []
+    real = commutant.descend_map
+    monkeypatch.setattr(commutant, "descend_map", lambda view, pm: calls.append(1) or real(view, pm))
+    rng = random.Random(41)
+    draws = [random_instance(rng) for _ in range(80)]
+    assert {inst.refined for inst in draws} == {True, False}
+    pairs = [(view, inst.refined_map) for inst in draws for view in _views_of(inst)]
+    for view, pm in pairs:
+        calls.clear()
+        for n in range(-12, 13):
+            sep_set(view, pm, n)
+        assert len(calls) == 1
+    # one view shared by two different maps keeps a description for each
+    part, swap = swap_instance()
+    shared = SubalgebraView.identity(part)
+    cycle = PieceMap(part, (2, 0, 1, 3, 4))
+    calls.clear()
+    for n in range(-12, 13):
+        sep_set(shared, swap, n)
+        sep_set(shared, cycle, n)
+    assert len(calls) == 2 and len(shared._memo) == 2
+    assert commutant_description(shared, swap) != commutant_description(shared, cycle)
+    for view, pm in pairs + [(shared, swap), (shared, cycle)]:
+        description = commutant_description(view, pm)
+        assert commutant_description(view, pm) is description
+        bound = 3 * description.period + 1
+        for n in range(-bound, bound + 1):
+            assert sep_set(view, pm, n) == brute_force_sep(view, pm, n), (n, pm.perm)
+
+
+def test_warm_cache_still_refuses_foreign_and_torn_maps():
+    ref, bm, rm = crossed_fixture()
+    view = SubalgebraView.of_refinement(ref)
+    description = commutant_description(view, rm)
+    part, swap = swap_instance()
+    other_view = SubalgebraView.identity(part)
+    sep_set(other_view, swap, 1)
+    torn = PieceMap(ref.refined, (0, 2, 1, 3, 4, 5, 6))
+    for _ in range(3):
+        with pytest.raises(MapDoesNotDescend):
+            sep_set(view, torn, 1)
+        with pytest.raises(PartitionMismatch):
+            sep_set(view, swap, 1)
+        with pytest.raises(PartitionMismatch):
+            sep_set(other_view, rm, 1)
+    assert list(view._memo.values()) == [(rm, description)]
+    assert list(other_view._memo.values()) == [(swap, commutant_description(other_view, swap))]
+
+
+def test_cached_tables_stay_out_of_copies():
+    ref, bm, rm = crossed_fixture()
+    view = SubalgebraView.of_refinement(ref)
+    description = commutant_description(view, rm)
+    diff = commutant_difference(ref, bm, rm)
+    degrees = range(-12, 13)
+
+    def tables(view, description, diff):
+        return [
+            (sep_set(view, rm, n), description.allowed(n), diff.forbidden_at(n), diff.coarse.sep(n))
+            for n in degrees
+        ]
+
+    want = tables(view, description, diff)
+    assert view._memo and description._memo and diff._memo
+    for copier in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        twins = copier(view), copier(description), copier(diff)
+        assert twins == (view, description, diff)
+        assert hash(twins[0]) == hash(view) and hash(twins[1].view) == hash(view)
+        caches = ({"_memo", "_fibers"}, {"_memo", "period"}, {"_memo", "period", "coarse", "refined"})
+        for twin, cached in zip(twins, caches):
+            assert not cached & set(vars(twin)), type(twin).__name__
+        assert tables(*twins) == want
 
 
 def _refined_draws(count, seed):

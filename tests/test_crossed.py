@@ -53,8 +53,8 @@ def test_vector_length_mismatch_raises():
 def test_indicator_and_zeros():
     v = CoefficientVector.indicator(4, (1, 3))
     assert v.values == (0, 1, 0, 1)
-    assert CoefficientVector.zeros(3).is_zero()
-    assert not CoefficientVector.ones(3).is_zero()
+    assert CoefficientVector((0, 0, 0)).is_zero()
+    assert not CoefficientVector((1, 1, 1)).is_zero()
 
 
 def test_crossed_element_normal_form_prunes_zeros():
@@ -211,6 +211,70 @@ def test_coefficients_are_coerced_only_when_not_fractions(monkeypatch):
     assert calls == []
 
 
+_ZERO_SPELLINGS = (Fraction(0, 7), 0, "0/3")
+
+
+def _sparse_values(rng, size):
+    # mostly zeros, each spelled one of three ways, the rest small rationals
+    return [
+        rng.choice(_ZERO_SPELLINGS)
+        if rng.random() < 0.6
+        else Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        for _ in range(size)
+    ]
+
+
+def _dense_multiply(f, g, perm):
+    """Twisted convolution entry by entry, every zero multiplied and added."""
+    size = len(perm)
+    acc = {}
+    for n, fn in f.items():
+        for m, gm in g.items():
+            moved = [Fraction(v) for v in gm]
+            for _ in range(abs(n)):
+                moved = list(_step(moved, perm, 1 if n > 0 else -1))
+            row = acc.setdefault(n + m, [Fraction(0)] * size)
+            for p in range(size):
+                row[p] += Fraction(fn[p]) * moved[p]
+    return {d: tuple(row) for d, row in sorted(acc.items()) if any(v != 0 for v in row)}
+
+
+def test_zero_skipping_operations_equal_the_dense_reference():
+    rng = random.Random(2911)
+    for pm in _seeded_maps(60, seed=2911):
+        size = pm.size
+        raw_a, raw_b = _sparse_values(rng, size), _sparse_values(rng, size)
+        if rng.random() < 0.2:
+            raw_a = [rng.choice(_ZERO_SPELLINGS) for _ in range(size)]
+        a, b = CoefficientVector(tuple(raw_a)), CoefficientVector(tuple(raw_b))
+        da, db = [Fraction(v) for v in raw_a], [Fraction(v) for v in raw_b]
+        c = rng.choice(_ZERO_SPELLINGS + ("3/2",))
+        pieces = rng.sample(range(size), rng.randint(0, size))
+        results = [
+            (a * b, [x * y for x, y in zip(da, db)]),
+            (a + b, [x + y for x, y in zip(da, db)]),
+            (a - b, [x - y for x, y in zip(da, db)]),
+            (a.scale(c), [Fraction(c) * x for x in da]),
+            (CoefficientVector.indicator(size, pieces), [Fraction(int(i in pieces)) for i in range(size)]),
+        ]
+        for vec, want in results:
+            assert vec.values == tuple(want)
+            assert all(type(v) is Fraction for v in vec.values)
+            assert vec.support() == frozenset(i for i, v in enumerate(want) if v != 0)
+            assert vec.is_zero() == all(v == 0 for v in want)
+        f = {n: _sparse_values(rng, size) for n in rng.sample(range(-4, 5), rng.randint(1, 3))}
+        g = {n: _sparse_values(rng, size) for n in rng.sample(range(-4, 5), rng.randint(1, 3))}
+        product = multiply(crossed_element(f), crossed_element(g), pm)
+        assert {n: vec.values for n, vec in product.terms} == _dense_multiply(f, g, pm.perm)
+        assert all(type(v) is Fraction for _, vec in product.terms for v in vec.values)
+
+
+def test_indicator_rejects_pieces_outside_the_partition():
+    for bad in (-1, 3):
+        with pytest.raises(ValueError):
+            CoefficientVector.indicator(3, (0, bad))
+
+
 def test_twisted_product_of_indicators():
     part, pm = swap_map()
     f = indicator_element(5, (0,), 1)
@@ -224,7 +288,7 @@ def test_twisted_product_of_indicators():
 
 def test_unit_element_is_neutral():
     part, pm = swap_map()
-    unit = monomial(CoefficientVector.ones(5), 0)
+    unit = monomial(CoefficientVector((1,) * 5), 0)
     rng = random.Random(5)
     for _ in range(20):
         terms = {

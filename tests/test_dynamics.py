@@ -36,12 +36,16 @@ from crossed_commutant.dynamics import (
     ValidationReport,
     Violation,
     cycle_lengths,
-    perm_compose,
 )
 from crossed_commutant.errors import InfeasibleProfile, LiftInconsistent
 from crossed_commutant.selftest import random_instance
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def perm_compose(outer, inner):
+    """Apply ``inner`` first, then ``outer``."""
+    return tuple(outer[i] for i in inner)
 
 
 def test_perm_inverse_and_compose():
@@ -189,7 +193,7 @@ def test_refined_cycle_classes_multipliers():
         (2, 1): frozenset({4, 6}),
         (1, 1): frozenset({5}),
     }
-    assert rcc.base_period_of == (2, 2, 1)
+    assert rcc.base.period_of == (2, 2, 1)
 
 
 def test_refined_cycle_classes_reject_non_lift_periods():
@@ -231,7 +235,7 @@ def test_fine_period_is_base_period_times_multiplier():
         rcc = refined_cycle_classes(ref, bm, rm)
         fine = cycle_classes(rm)
         for c in range(ref.refined.piece_count):
-            k = rcc.base_period_of[ref.parent_of[c]]
+            k = rcc.base.period_of[ref.parent_of[c]]
             assert fine.period_of[c] == k * rcc.multiplier_of[c]
 
 
@@ -361,7 +365,7 @@ def _classified(classify, ref, bm, rm):
         return "raises", str(exc)
     if isinstance(got, tuple):
         return got
-    return list(got.tilde_classes.items()), got.multiplier_of, got.base_period_of
+    return list(got.tilde_classes.items()), got.multiplier_of, got.base.period_of
 
 
 def _atlas_lifts():
