@@ -291,7 +291,7 @@ def test_cached_tables_stay_out_of_copies():
         twins = copier(view), copier(description), copier(diff)
         assert twins == (view, description, diff)
         assert hash(twins[0]) == hash(view) and hash(twins[1].view) == hash(view)
-        caches = ({"_memo", "_fibers"}, {"_memo", "period"}, {"_memo", "period", "coarse", "refined"})
+        caches = {"_memo", "_fibers"}, {"_memo", "period"}, {"_memo", "coarse", "refined"}
         for twin, cached in zip(twins, caches):
             assert not cached & set(vars(twin)), type(twin).__name__
         assert tables(*twins) == want

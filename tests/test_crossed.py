@@ -255,7 +255,10 @@ def test_zero_skipping_operations_equal_the_dense_reference():
             (a + b, [x + y for x, y in zip(da, db)]),
             (a - b, [x - y for x, y in zip(da, db)]),
             (a.scale(c), [Fraction(c) * x for x in da]),
-            (CoefficientVector.indicator(size, pieces), [Fraction(int(i in pieces)) for i in range(size)]),
+            (
+                CoefficientVector.indicator(size, pieces),
+                [Fraction(int(i in pieces)) for i in range(size)],
+            ),
         ]
         for vec, want in results:
             assert vec.values == tuple(want)
