@@ -38,8 +38,6 @@ from .instances import (
 )
 from .selftest import run_selftest
 
-GRADING_WINDOW_CAP = 3
-
 
 def _count(text: str) -> int:
     if not text.strip().removeprefix("+").isdecimal():
@@ -166,12 +164,10 @@ def _report_payload(instance: Instance) -> dict[str, Any]:
         }
         payload["coarse_sep"] = {str(n): sorted(coarse.sep(n)) for n in range(-window, window + 1)}
         payload["difference"] = _difference_payload(difference, window)
-    grading_window = min(window, GRADING_WINDOW_CAP)
-    grading = is_strongly_graded(description, instance.refined_map, grading_window)
+    grading = is_strongly_graded(description, instance.refined_map)
     payload["grading"] = {
         "strongly_graded": grading.strongly_graded,
         "witness": list(grading.witness) if grading.witness else None,
-        "window": grading.window,
         "detail": grading.detail,
     }
     return payload
@@ -215,7 +211,7 @@ def _print_text_report(payload: dict[str, Any]) -> None:
             )
     grading = payload["grading"]
     if grading["strongly_graded"]:
-        print(f"grading: strongly graded within window {grading['window']}")
+        print("grading: strongly graded at every degree pair")
     else:
         n, m = grading["witness"]
         print(f"grading: not strongly graded, witness ({n}, {m}); {grading['detail']}")

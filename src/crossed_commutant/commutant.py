@@ -81,7 +81,8 @@ class SubalgebraView(_Memo):
     def __post_init__(self) -> None:
         if len(self.embed) != self.ambient.piece_count:
             raise ValueError("embed must assign a coarse piece to every fine piece")
-        if set(self.embed) != set(range(self.sub.piece_count)):
+        embed = self.embed
+        if not set(map(type, embed)) <= {int} or set(embed) != set(range(self.sub.piece_count)):
             raise ValueError("embed must map onto the coarse pieces")
 
     @classmethod
@@ -239,7 +240,6 @@ def find_noncommuting_witness(
     elem: CrossedElement,
     view: SubalgebraView,
     piece_map: PieceMap,
-    sample: int = 5,
     rng: random.Random | None = None,
 ) -> int | None:
     """A coarse generator that fails to commute with ``elem``, if any.
@@ -247,7 +247,8 @@ def find_noncommuting_witness(
     Returns the coarse piece id of the first non-commuting indicator
     generator when ``elem`` lies outside the commutant; such a generator
     always exists then.  Returns None for members, after checking
-    commutation against a small random sample of coarse elements.
+    commutation against five random coarse elements drawn from ``rng``
+    (seeded 1105 when not given).
     """
     description = commutant_description(view, piece_map)
     verdict = is_in_commutant(elem, description)
@@ -259,7 +260,7 @@ def find_noncommuting_witness(
         raise RuntimeError("non-member without a generator witness; engine bug")
     rng = rng if rng is not None else random.Random(1105)
     size = view.ambient.piece_count
-    for _ in range(sample):
+    for _ in range(5):
         coarse_values = [Fraction(rng.randint(-3, 3)) for _ in range(view.sub.piece_count)]
         vec = CoefficientVector(tuple(coarse_values[view.embed[p]] for p in range(size)))
         g = monomial(vec, 0)

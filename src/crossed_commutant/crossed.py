@@ -261,30 +261,26 @@ def rational_rank(rows: Iterable[Sequence[Fraction]]) -> int:
 class GradingResult:
     strongly_graded: bool
     witness: tuple[int, int] | None
-    window: int
     detail: str
 
 
-def is_strongly_graded(
-    description: "CommutantDescription", piece_map: PieceMap, degree_window: int
-) -> GradingResult:
-    """Decide within a degree window whether products of graded components fill.
+def is_strongly_graded(description: "CommutantDescription", piece_map: PieceMap) -> GradingResult:
+    """Decide whether products of graded components fill, at every degree pair.
 
     The degree-n component lives on A(n), the union of the classes whose
     period divides n.  Classes are unions of orbits (else ValueError), so
     components n and m span exactly A(n) & A(m) inside A(n + m), and
-    A(1) <= A(n) <= A(0).  So at every window >= 1 the grading is strong iff
-    A(1) = A(0); if not, the first short pair outward from zero is (1, 1)
-    when A(2) != A(1), else (1, -1).  One product, of the indicators at that
+    A(1) <= A(n) <= A(0).  So the grading is strong iff A(1) = A(0); if
+    not, the first short pair outward from zero is (1, 1) when
+    A(2) != A(1), else (1, -1).  One product, of the indicators at that
     witness, gives the span rank in ``detail``.
     """
     for k, pieces in description.class_pieces.items():
         if not all(piece_map.perm[p] in pieces for p in pieces):
             raise ValueError(f"grading needs classes that are unions of orbits; class {k} is not")
     allowed = description.allowed
-    if degree_window <= 0 or allowed(0) == allowed(1):
-        full = "every degree pair in the window has full product span"
-        return GradingResult(True, None, degree_window, full)
+    if allowed(0) == allowed(1):
+        return GradingResult(True, None, "every degree pair has full product span")
     n, m = (1, 1) if allowed(2) != allowed(1) else (1, -1)
     size = piece_map.size
     left, right = indicator_element(size, allowed(n), n), indicator_element(size, allowed(m), m)
@@ -294,4 +290,4 @@ def is_strongly_graded(
         f"products from degrees {n} and {m} span rank {rank} "
         f"inside a component of dimension {len(allowed(n + m))}"
     )
-    return GradingResult(False, (n, m), degree_window, detail)
+    return GradingResult(False, (n, m), detail)

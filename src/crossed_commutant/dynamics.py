@@ -102,8 +102,10 @@ class PieceMap:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", tuple(self.perm))
-        if sorted(self.perm) != list(range(self.partition.piece_count)):
+        perm = tuple(self.perm)
+        object.__setattr__(self, "perm", perm)
+        ids = range(self.partition.piece_count)
+        if not set(map(type, perm)) <= {int} or sorted(perm) != list(ids):
             raise ValueError("perm is not a bijection on the piece ids")
 
     @classmethod

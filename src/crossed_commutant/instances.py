@@ -107,7 +107,7 @@ def _id_entries(raw: Mapping, name: str, what: str, problems: list[str]) -> list
     return [(key, ident, raw[key]) for ident, key in first.items()]
 
 
-def parse_instance(data: Mapping[str, Any], default_window: int = DEFAULT_WINDOW) -> Instance:
+def parse_instance(data: Mapping[str, Any]) -> Instance:
     if not isinstance(data, Mapping):
         raise InstanceFormatError(["top level: expected a JSON object"])
     problems: list[str] = []
@@ -200,10 +200,9 @@ def parse_instance(data: Mapping[str, Any], default_window: int = DEFAULT_WINDOW
         if stray in data:
             problems.append(f"{stray}: {kind} instances use {own[0]} and {own[1]}")
 
-    window = data.get("window", default_window)
+    window = data.get("window", DEFAULT_WINDOW)
     if not isinstance(window, int) or isinstance(window, bool) or not 1 <= window <= MAX_WINDOW:
         problems.append(f"window: expected a positive integer of at most {MAX_WINDOW}")
-        window = default_window
 
     if problems or base is None:
         raise InstanceFormatError(problems or ["instance could not be built"])
@@ -247,7 +246,7 @@ def parse_instance(data: Mapping[str, Any], default_window: int = DEFAULT_WINDOW
     )
 
 
-def load_instance(path: str, default_window: int = DEFAULT_WINDOW) -> Instance:
+def load_instance(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -261,7 +260,7 @@ def load_instance(path: str, default_window: int = DEFAULT_WINDOW) -> Instance:
         raise InstanceFormatError([f"{path}: nested too deeply to decode"]) from exc
     except ValueError as exc:  # bytes that are not UTF-8, an integer past the digit limit
         raise InstanceFormatError([f"{path}: {exc}"]) from exc
-    return parse_instance(data, default_window)
+    return parse_instance(data)
 
 
 def render_instance(instance: Instance) -> dict[str, Any]:

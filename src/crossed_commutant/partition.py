@@ -178,8 +178,8 @@ class Refinement:
     def __post_init__(self) -> None:
         if len(self.parent_of) != self.refined.piece_count:
             raise ValueError("parent_of must cover every refined piece")
-        seen = set(self.parent_of)
-        if seen != set(range(self.base.piece_count)):
+        parents = self.parent_of
+        if not set(map(type, parents)) <= {int} or set(parents) != set(range(self.base.piece_count)):
             raise ValueError("parent_of must map onto the base pieces")
 
     @cached_property

@@ -273,13 +273,13 @@ def test_criterion_7_strong_grading_certificates():
     part = build_real_line_partition(["0", "1"])
     swap = PieceMap(part, (1, 0, 2, 4, 3))
     desc = commutant_description(SubalgebraView.identity(part), swap)
-    verdict = is_strongly_graded(desc, swap, 2)
+    verdict = is_strongly_graded(desc, swap)
     assert not verdict.strongly_graded
     assert verdict.witness == (1, 1)
 
     ident = PieceMap.identity(part)
     desc2 = commutant_description(SubalgebraView.identity(part), ident)
-    verdict2 = is_strongly_graded(desc2, ident, 3)
+    verdict2 = is_strongly_graded(desc2, ident)
     assert verdict2.strongly_graded and verdict2.witness is None
     report(
         "criterion 7 (swap certified not strongly graded at (1,1); "

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from crossed_commutant.cli import main
+from crossed_commutant.fixtures import builtin_names
 
 
 def run(capsys, *argv):
@@ -133,6 +134,17 @@ def test_report_window_flag_controls_tables(capsys):
     payload = json.loads(out)
     assert payload["window"] == 2
     assert sorted(int(n) for n in payload["sep"]) == [-2, -1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_report_grading_does_not_depend_on_the_window(capsys, name):
+    gradings = []
+    for window in ("1", "6", "8"):
+        code, out, _ = run(capsys, "report", "--builtin", name, "--json", "--window", window)
+        assert code == 0
+        gradings.append(json.loads(out)["grading"])
+    assert gradings[0] == gradings[1] == gradings[2]
+    assert "window" not in gradings[0]
 
 
 def test_report_text_mentions_grading_and_rule(capsys):

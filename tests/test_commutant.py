@@ -48,6 +48,12 @@ def test_identity_view_is_trivial():
     assert view.preimage(1) == (1,)
 
 
+@pytest.mark.parametrize("embed", [(0.0, 0, 0), (False, False, False)], ids=["float", "bool"])
+def test_view_refuses_ids_that_are_not_integers(embed):
+    with pytest.raises(ValueError, match="onto the coarse pieces"):
+        SubalgebraView(build_real_line_partition(["0"]), build_real_line_partition([]), embed)
+
+
 def test_refinement_view_groups_children():
     ref, bm, rm = crossed_fixture()
     view = SubalgebraView.of_refinement(ref)

@@ -87,6 +87,12 @@ def test_piece_map_requires_bijection():
         PieceMap(part, (0, 1))
 
 
+@pytest.mark.parametrize("perm", [(1.0, 0, 2), (True, False, 2)], ids=["float", "bool"])
+def test_piece_map_refuses_ids_that_are_not_integers(perm):
+    with pytest.raises(ValueError, match="not a bijection"):
+        PieceMap(build_abstract_partition(3), perm)
+
+
 def test_kind_preservation_flags_interval_to_point():
     part = build_real_line_partition(["0"])
     report = validate_invariance(part, PieceMap(part, (2, 1, 0)))

@@ -8,6 +8,7 @@ from crossed_commutant import (
     AbstractPartition,
     PieceKind,
     RealLinePartition,
+    Refinement,
     as_fraction,
     build_abstract_partition,
     build_real_line_partition,
@@ -187,6 +188,13 @@ def test_evenly_spaced_points_are_strictly_inside_random():
         assert len(pts) == count
         assert all(lo < x < hi for x in pts)
         assert all(a < b for a, b in zip(pts, pts[1:]))
+
+
+@pytest.mark.parametrize("parents", [(0.0, 0), (False, False)], ids=["float", "bool"])
+def test_refinement_refuses_ids_that_are_not_integers(parents):
+    base, refined = build_abstract_partition(1), build_abstract_partition(2)
+    with pytest.raises(ValueError, match="onto the base pieces"):
+        Refinement(base, refined, parents, None)
 
 
 def test_refinement_parents_partition_the_children():

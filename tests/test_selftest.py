@@ -37,3 +37,21 @@ def test_subjects_share_one_seeded_stream():
     assert _run_suite("stream", 11, 4, record).ok
     rng = random.Random(11)
     assert seen == [random_instance(rng).describe() for _ in range(4)]
+
+
+def test_refinement_suite_checks_each_lift_and_view_once(monkeypatch):
+    import crossed_commutant.commutant as commutant
+
+    calls = {"descend_map": 0, "validate_refined_invariance": 0}
+    for name in calls:
+        real = getattr(commutant, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(commutant, name, counted)
+    result = selftest.suite_refinement_monotone(6, 40)
+    assert result.ok and result.total == 40
+    # one coarse and one fine view per instance, one lift check per instance
+    assert calls == {"descend_map": 80, "validate_refined_invariance": 40}
