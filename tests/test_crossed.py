@@ -475,7 +475,8 @@ def test_grading_matches_the_rank_oracle_on_hand_built_descriptions():
     assert (orbit_unions, with_longer_periods, refused) == (79, 56, 221)
 
 
-def test_grading_takes_one_product_at_the_witness(monkeypatch):
+@pytest.mark.parametrize("jump_points", [1, 3])
+def test_grading_takes_one_product_at_the_witness(monkeypatch, jump_points):
     calls = {"multiply": 0, "rational_rank": 0}
 
     def counted(name):
@@ -489,7 +490,7 @@ def test_grading_takes_one_product_at_the_witness(monkeypatch):
 
     monkeypatch.setattr(crossed, "multiply", counted("multiply"))
     monkeypatch.setattr(crossed, "rational_rank", counted("rational_rank"))
-    part = build_real_line_partition(["0", "1", "2"])
+    part = build_real_line_partition([str(t) for t in range(jump_points)])
     pm = PieceMap.identity(part)
     description = commutant_description(SubalgebraView.identity(part), pm)
     assert is_strongly_graded(description, pm).strongly_graded
