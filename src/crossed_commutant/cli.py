@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_atlas.add_argument("--base-n", type=_count, default=None, metavar="N",
                          help="jump points in the base (default: minimal)")
     p_atlas.add_argument("--max-lifts", type=_positive, default=1_000_000,
-                         help="budget on lifts per base map")
+                         help="budget on the census's total lifts")
     p_atlas.add_argument("--json", action="store_true", help="machine-readable output")
     p_atlas.set_defaults(func=cmd_atlas)
 

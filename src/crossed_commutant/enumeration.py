@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -149,20 +150,29 @@ def classify_cases(instances: Iterable[Instance]) -> dict[CaseSignature, CaseGro
 
     The representative is minimal by (piece count, base perm, refined perm),
     so reruns over the same stream pick the same witnesses.  A lift's class
-    sizes are its non-point part's plus its point part's, each distinct part
-    classified once per base map; the rest goes through ``commutant_difference``.
+    sizes are its non-point part's plus its point part's.  By the lift law a
+    part's sizes depend only on its images and on its pieces' parent periods
+    and wanted images, so each distinct non-point part is classified once per
+    refinement, shared by every base map that agrees there, and each point
+    part once per base map; the rest goes through ``commutant_difference``.
     """
     found: dict[tuple, list] = {}  # triples -> [count, key, representative]
-    run = None
+    refinement = base_map = None
     for instance in instances:
-        refinement, base_map, refined_map = instance
-        if run is None or run[0] is not refinement or run[1] is not base_map:
-            run, heads, tails, table = (refinement, base_map), {}, {}, {}
+        if instance[0] is not refinement:
+            refinement, base_map = instance[0], None
+            known, table = {}, {}  # (k_of, want) over the heads -> images -> sizes
+            h = sum(len(kinds[0]) for kinds in refinement.kind_split)
+            pieces = refinement.refined.piece_count
+        if instance[1] is not base_map:
+            base_map = instance[1]
             own = base_map.partition is refinement.base
             if own:
                 k_of = _gather(base_map.cycle_classification.period_of, refinement.parent_of)
                 want = _gather(base_map.perm, refinement.parent_of)
-                h = sum(len(kinds[0]) for kinds in refinement.kind_split)
+                heads = known.setdefault((k_of[:h], want[:h]), {})
+                tails = {}  # point images seldom repeat across base maps
+        refined_map = instance[2]
         triples = None
         if own and refined_map.partition is refinement.refined:
             head, tail = refined_map.perm[:h], refined_map.perm[h:]
@@ -177,7 +187,7 @@ def classify_cases(instances: Iterable[Instance]) -> dict[CaseSignature, CaseGro
                     triples = table[parts] = _signature_triples(*parts)
         if triples is None:
             triples = case_signature(commutant_difference(refinement, base_map, refined_map)).triples
-        key = (refinement.refined.piece_count, base_map.perm, refined_map.perm)
+        key = (pieces, base_map.perm, refined_map.perm)
         entry = found.get(triples)
         if entry is None:
             found[triples] = [1, key, instance]
@@ -210,10 +220,16 @@ def integer_partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n, ())
 
 
-def _kind_preserving_base_maps(partition) -> Iterator[PieceMap]:
+def _kind_preserving_base_maps(partition, shape=None) -> Iterator[PieceMap]:
+    """Maps sending intervals to intervals and points to points, in a fixed order.
+
+    Given ``shape`` per piece, an interval goes only onto one of equal shape.
+    """
     interval_ids = list(partition.interval_ids())
     point_ids = list(partition.point_ids())
     for iperm in itertools.permutations(interval_ids):
+        if shape and any(shape[a] != shape[b] for a, b in zip(interval_ids, iperm)):
+            continue
         for pperm in itertools.permutations(point_ids):
             perm = [0] * partition.piece_count
             for src, dst in zip(interval_ids, iperm):
@@ -234,10 +250,14 @@ def atlas_instances(
     For each distribution of the points over distinct intervals, the base
     has exactly as many intervals as the distribution has parts (or base_n
     jump points when given), the first intervals receive the points, and
-    every base map admitting lifts contributes its full lift stream.  Every
-    distribution is checked against the caps before the first lift is yielded.
+    every base map admitting lifts contributes its full lift stream.  Those
+    maps send points to points and each interval onto one with as many added
+    points; no other map is built.  There are n! * prod(multiplicity!) of
+    them, each with prod((p+1)! * p!) lifts over its intervals' p added
+    points.  Before the first lift is yielded, every distribution is checked
+    against the piece cap and the census's total lifts against ``max_lifts``.
     """
-    plan = []
+    plan, lifts = [], 0
     for distribution in integer_partitions(total_points):
         parts = len(distribution)
         n = (parts - 1 if parts else 0) if base_n is None else base_n
@@ -249,6 +269,13 @@ def atlas_instances(
         if pieces > max_pieces:
             raise ScaleExceeded(f"{pieces} pieces exceeds the desk-scale bound of {max_pieces}")
         plan.append((distribution, n))
+        shapes = Counter(distribution + (0,) * (n + 1 - parts))
+        lifts += math.factorial(n) * math.prod(
+            math.factorial(c) * (math.factorial(p + 1) * math.factorial(p)) ** c
+            for p, c in shapes.items()
+        )
+    if lifts > max_lifts:
+        raise ScaleExceeded(f"{lifts} lifts exceeds the budget of {max_lifts}")
     for distribution, n in plan:
         base = build_real_line_partition([Fraction(i) for i in range(1, n + 1)])
         additions = {
@@ -256,12 +283,11 @@ def atlas_instances(
             for alpha, count in enumerate(distribution)
         }
         refinement = refine_real_line(base, additions)
-        for base_map in _kind_preserving_base_maps(base):
-            lifts = count_refined_maps(refinement, base_map)
-            if lifts == 0:
+        shape = [tuple(map(len, kinds)) for kinds in refinement.kind_split]
+        for base_map in _kind_preserving_base_maps(base, shape):
+            # the shape test is the cheap screen; the lift count stays the rule
+            if count_refined_maps(refinement, base_map) == 0:
                 continue
-            if lifts > max_lifts:
-                raise ScaleExceeded(f"{lifts} lifts exceeds the budget of {max_lifts}")
             for refined_map in enumerate_refined_maps(refinement, base_map):
                 yield refinement, base_map, refined_map
 

@@ -466,3 +466,12 @@ def test_huge_window_exits_two_before_tabulating(tmp_path, source):
     assert proc.returncode == 2, proc.stderr
     assert "at most 10000" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_atlas_over_the_lift_budget_exits_two_before_streaming():
+    # 13 pieces pass the cap of 14, but 7! * 6! = 3,628,800 lifts exceed the
+    # default budget of 1,000,000
+    proc = _run_capped("atlas", "--points", "0", "--base-n", "6")
+    assert proc.returncode == 2, proc.stderr
+    assert "3628800 lifts exceeds the budget of 1000000" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

@@ -1,5 +1,7 @@
 """Lift enumeration, case classification, atlases, and counting."""
+import copy
 import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -17,6 +19,7 @@ from crossed_commutant import (
     commutant_difference,
     count_refined_maps,
     enumerate_refined_maps,
+    evenly_spaced_inside,
     integer_partition_count,
     integer_partitions,
     perm_cycles,
@@ -215,6 +218,59 @@ def test_atlas_scale_guards():
         list(atlas_instances(2, max_lifts=3))
 
 
+def _reference_atlas(points, base_n):
+    """Per distribution, every kind-preserving base map, kept when it has lifts.
+
+    Returns the kept (kind split, base perm, lift perm) in stream order, and
+    the sum of ``count_refined_maps`` over every map walked.
+    """
+    kept, total = [], 0
+    for distribution in integer_partitions(points):
+        n = max(len(distribution) - 1, 0) if base_n is None else base_n
+        base = build_real_line_partition([Fraction(i) for i in range(1, n + 1)])
+        ref = refine_real_line(base, {
+            alpha: evenly_spaced_inside(*base.bounds_of(alpha), count)
+            for alpha, count in enumerate(distribution)
+        })
+        intervals, jumps = list(base.interval_ids()), list(base.point_ids())
+        for iperm, pperm in product(permutations(intervals), permutations(jumps)):
+            image = dict(zip(intervals + jumps, iperm + pperm))
+            bm = PieceMap(base, tuple(image[b] for b in range(base.piece_count)))
+            count = count_refined_maps(ref, bm)
+            total += count
+            if count > 0:
+                kept += [(ref.kind_split, bm.perm, rm.perm) for rm in enumerate_refined_maps(ref, bm)]
+    return kept, total
+
+
+# the censuses of the benchmark's atlas workload, the other small minimal-base
+# ones, and two bases where most interval permutations cannot lift
+WALKED_CENSUSES = [(m, None) for m in range(5)] + [
+    (2, 2), (1, 3), (2, 3), (3, 2), (3, 3), (0, 4), (1, 4),
+]
+
+
+@pytest.mark.parametrize("points, base_n", WALKED_CENSUSES)
+def test_atlas_walks_only_base_maps_with_lifts_in_the_reference_order(points, base_n):
+    kept, total = _reference_atlas(points, base_n)
+    got = [(ref.kind_split, bm.perm, rm.perm) for ref, bm, rm in atlas_instances(points, base_n, max_pieces=15)]
+    assert got == kept and len(kept) == total
+    # the closed-form total is the census's budget exactly
+    assert sum(1 for _ in atlas_instances(points, base_n, max_pieces=15, max_lifts=total)) == total
+    with pytest.raises(ScaleExceeded, match=f"^{total} lifts exceeds the budget of {total - 1}$"):
+        next(atlas_instances(points, base_n, max_pieces=15, max_lifts=total - 1))
+
+
+def test_atlas_over_the_lift_budget_builds_no_base_map(monkeypatch):
+    built = []
+    real = PieceMap.__init__
+    monkeypatch.setattr(PieceMap, "__init__", lambda self, *args: built.append(args) or real(self, *args))
+    stream = atlas_instances(0, base_n=6)  # 13 pieces, 7! * 6! lifts
+    with pytest.raises(ScaleExceeded, match="3628800 lifts"):
+        next(stream)
+    assert built == []
+
+
 def test_integer_partitions_explicit():
     assert list(integer_partitions(0)) == [()]
     assert list(integer_partitions(4)) == [
@@ -264,7 +320,9 @@ def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
     import crossed_commutant.dynamics as dynamics
     import crossed_commutant.enumeration as enumeration
 
-    calls = {"perm_cycles": 0, "cycle_lengths": 0, "commutant_description": 0, "commutant_difference": 0}
+    calls = dict.fromkeys(
+        ["perm_cycles", "cycle_lengths", "commutant_description", "commutant_difference", "count_refined_maps"], 0
+    )
 
     def counted(module, name):
         real = getattr(module, name)
@@ -290,24 +348,31 @@ def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
     counted(commutant, "cycle_lengths")
     counted(commutant, "commutant_description")
     counted(enumeration, "commutant_difference")
+    counted(enumeration, "count_refined_maps")
     constructed(commutant.SubalgebraView)
     constructed(commutant.CommutantDescription)
     instances = list(atlas_instances(3))
+    assert calls["count_refined_maps"] == 14  # only the base maps that admit lifts
     groups = classify_cases(instances)
     assert sum(g.count for g in groups.values()) == 264
-    # a lift is its interval images (head) then its point images (tail); each
-    # distinct head and tail of a base map is walked once
+    # a lift is its interval images (head) then its point images (tail); a head
+    # is walked once per refinement, parent periods, wanted images and images,
+    # a tail once per base map and images
     parts = set()
     for ref, bm, rm in instances:
         h = ref.refined.n + 1
-        parts |= {(id(bm), "head", rm.perm[:h]), (id(bm), "tail", rm.perm[h:])}
-    assert len(parts) == 152
+        period = {b: len(cycle) for cycle in perm_cycles(bm.perm) for b in cycle}
+        k_of = tuple(period[b] for b in ref.parent_of[:h])
+        want = tuple(bm.perm[b] for b in ref.parent_of[:h])
+        parts |= {(id(ref), k_of, want, rm.perm[:h]), (id(bm), rm.perm[h:])}
+    assert len(parts) == 104
     # plus one walk per base map (14 of them admit lifts) inside its
     # cycle_lengths; no lift takes the general path, and the signature reads
     # only the (k, l) class sizes, so no description is built
     assert calls == {
-        "perm_cycles": 152 + 14,
+        "perm_cycles": 104 + 14,
         "cycle_lengths": 14,
+        "count_refined_maps": 14,
         "commutant_description": 0,
         "commutant_difference": 0,
         "SubalgebraView": 0,
@@ -322,7 +387,7 @@ def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
     assert diff.coarse.class_pieces and diff.refined.class_pieces
     assert calls["SubalgebraView"] == 2 and calls["CommutantDescription"] == 2
     assert calls["cycle_lengths"] == 14
-    assert calls["perm_cycles"] == 152 + 14 + 1
+    assert calls["perm_cycles"] == 104 + 14 + 1
 
 
 # (points, base_n) of every census in the benchmark's atlas workload
@@ -380,6 +445,56 @@ def test_classify_cases_equals_the_per_lift_reference_on_random_instances():
     abstract = sum(isinstance(ref.refined, AbstractPartition) for ref, _, _ in drawn)
     assert 100 < abstract < 200
     assert _same_cases(_cases(classify_cases(drawn)), _reference_cases(drawn))
+
+
+def test_classify_cases_equals_the_per_lift_reference_when_refinements_interleave(monkeypatch):
+    import crossed_commutant.enumeration as enumeration
+
+    # two refinements of one base, read through the very same base maps
+    base = build_real_line_partition(["0"])
+    a = refine_real_line(base, {0: ["-1"], 1: ["1"]})
+    b = refine_real_line(base, {0: ["-2", "-1"], 1: ["1"]})
+    identity, swap = PieceMap.identity(base), PieceMap(base, (1, 0, 2))
+    a_lifts, b_lifts = (
+        [(ref, bm, rm) for bm in maps for rm in enumerate_refined_maps(ref, bm)]
+        for ref, maps in [(a, (identity, swap)), (b, (identity,))]
+    )
+    assert len(a_lifts) == 8 and len(b_lifts) == 24
+    stream = a_lifts[:5] + b_lifts + a_lifts[5:]
+    alternating = [x for pair in zip(a_lifts * 3, b_lifts) for x in pair]
+    calls = []
+    real = enumeration.commutant_difference
+    monkeypatch.setattr(
+        enumeration, "commutant_difference", lambda *args: calls.append(args) or real(*args)
+    )
+    for instances in (stream, alternating):
+        got = _cases(classify_cases(instances))
+        assert calls == []  # every lift is read from its parts
+        assert _same_cases(got, _reference_cases(instances))
+    # a head seen in a lift of the swap is no head of an identity lift
+    h = a.refined.n + 1
+    mixed = PieceMap(a.refined, a_lifts[4][2].perm[:h] + a_lifts[0][2].perm[h:])
+    with pytest.raises(LiftInconsistent) as expected:
+        real(a, identity, mixed)
+    with pytest.raises(LiftInconsistent) as got:
+        classify_cases(a_lifts + [(a, identity, mixed)])
+    assert str(got.value) == str(expected.value)
+
+
+def test_classify_cases_equals_the_per_lift_reference_on_equal_but_not_identical_objects():
+    rng = random.Random(13)
+    mixed = []
+    for instance in atlas_instances(3, base_n=2):
+        ref, bm, rm = instance
+        mixed.append(rng.choice([
+            instance,
+            copy.deepcopy(instance),  # a copied refinement with its own base and maps
+            (copy.deepcopy(ref), bm, rm),
+            (ref, copy.deepcopy(bm), rm),
+            (ref, bm, copy.deepcopy(rm)),
+        ]))
+    assert len(mixed) == 720
+    assert _same_cases(_cases(classify_cases(mixed)), _reference_cases(mixed))
 
 
 def test_classify_cases_leaves_what_the_parts_cannot_vouch_for_to_the_general_path(monkeypatch):
