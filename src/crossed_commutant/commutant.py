@@ -22,7 +22,7 @@ generator, and serves as the independent oracle for ``sep_set``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from math import lcm
@@ -38,23 +38,13 @@ from .crossed import (
 )
 from .dynamics import (
     PieceMap,
+    _Memo,
     cycle_lengths,
     refined_cycle_classes,
     validate_refined_invariance,
 )
 from .errors import LiftInconsistent, MapDoesNotDescend, PartitionMismatch
 from .partition import Partition, Refinement
-
-
-class _Memo:
-    """Caches kept beside a frozen dataclass's fields; copies carry the fields only."""
-
-    @cached_property
-    def _memo(self) -> dict:
-        return {}
-
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _periodic(table: Callable[..., frozenset[int]]) -> Callable[..., frozenset[int]]:
@@ -237,18 +227,15 @@ def generator_element(view: SubalgebraView, coarse_id: int) -> CrossedElement:
 
 
 def find_noncommuting_witness(
-    elem: CrossedElement,
-    view: SubalgebraView,
-    piece_map: PieceMap,
-    rng: random.Random | None = None,
+    elem: CrossedElement, view: SubalgebraView, piece_map: PieceMap
 ) -> int | None:
     """A coarse generator that fails to commute with ``elem``, if any.
 
     Returns the coarse piece id of the first non-commuting indicator
     generator when ``elem`` lies outside the commutant; such a generator
     always exists then.  Returns None for members, after checking
-    commutation against five random coarse elements drawn from ``rng``
-    (seeded 1105 when not given).
+    commutation against five random coarse elements drawn from a generator
+    seeded 1105.
     """
     description = commutant_description(view, piece_map)
     verdict = is_in_commutant(elem, description)
@@ -258,7 +245,7 @@ def find_noncommuting_witness(
             if multiply(elem, g, piece_map) != multiply(g, elem, piece_map):
                 return q
         raise RuntimeError("non-member without a generator witness; engine bug")
-    rng = rng if rng is not None else random.Random(1105)
+    rng = random.Random(1105)
     size = view.ambient.piece_count
     for _ in range(5):
         coarse_values = [Fraction(rng.randint(-3, 3)) for _ in range(view.sub.piece_count)]

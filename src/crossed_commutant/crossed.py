@@ -197,7 +197,7 @@ def sigma_tilde_pow(f: CoefficientVector, piece_map: PieceMap, n: int) -> Coeffi
             f"vector of length {len(f)} on a partition with {piece_map.size} pieces"
         )
     key = n % piece_map.period
-    memo = piece_map._inverse_powers
+    memo = piece_map._memo
     back = memo.get(key)
     if back is None:
         back = memo[key] = perm_power(piece_map.perm, -key)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -94,8 +94,19 @@ def cycle_lengths(perm: Sequence[int]) -> tuple[int, ...]:
 # piece maps and validation
 
 
+class _Memo:
+    """Caches kept beside a frozen dataclass's fields; copies carry the fields only."""
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class PieceMap:
+class PieceMap(_Memo):
     """A piece permutation attached to its partition."""
 
     partition: Partition
@@ -132,15 +143,6 @@ class PieceMap:
     def period(self) -> int:
         """L, the lcm of the cycle lengths: every power depends on n mod L only."""
         return lcm(*self.cycle_classification.classes)
-
-    @cached_property
-    def _inverse_powers(self) -> dict[int, tuple[int, ...]]:
-        # n mod L -> the (-n)-th power, filled by crossed.sigma_tilde_pow on demand
-        return {}
-
-    def __getstate__(self) -> dict:
-        # pickle and deepcopy carry the fields only; the caches are rebuilt on demand
-        return {"partition": self.partition, "perm": self.perm}
 
 
 def _unchecked_piece_map(partition: Partition, perm: tuple[int, ...]) -> PieceMap:

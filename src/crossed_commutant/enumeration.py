@@ -31,7 +31,7 @@ from .partition import (
     refine_real_line,
 )
 
-Instance = tuple[Refinement, PieceMap, PieceMap]
+Lift = tuple[Refinement, PieceMap, PieceMap]  # (refinement, base map, lift)
 
 
 def _arcs(refinement: Refinement, base_map: PieceMap):
@@ -142,10 +142,10 @@ def case_signature(difference: DifferenceDescription) -> CaseSignature:
 class CaseGroup:
     signature: CaseSignature
     count: int
-    representative: Instance
+    representative: Lift
 
 
-def classify_cases(instances: Iterable[Instance]) -> dict[CaseSignature, CaseGroup]:
+def classify_cases(instances: Iterable[Lift]) -> dict[CaseSignature, CaseGroup]:
     """Group instances by case signature, keeping a deterministic representative.
 
     The representative is minimal by (piece count, base perm, refined perm),
@@ -244,7 +244,7 @@ def atlas_instances(
     base_n: int | None = None,
     max_pieces: int = DESK_SCALE_MAX_PIECES,
     max_lifts: int = 1_000_000,
-) -> Iterator[Instance]:
+) -> Iterator[Lift]:
     """Every way of adding ``total_points`` jump points at minimal base size.
 
     For each distribution of the points over distinct intervals, the base
@@ -285,9 +285,6 @@ def atlas_instances(
         refinement = refine_real_line(base, additions)
         shape = [tuple(map(len, kinds)) for kinds in refinement.kind_split]
         for base_map in _kind_preserving_base_maps(base, shape):
-            # the shape test is the cheap screen; the lift count stays the rule
-            if count_refined_maps(refinement, base_map) == 0:
-                continue
             for refined_map in enumerate_refined_maps(refinement, base_map):
                 yield refinement, base_map, refined_map
 

@@ -45,11 +45,12 @@ MAX_WINDOW = 10_000  # report tabulates every degree in -window..window
 
 @dataclass
 class Instance:
-    """A parsed instance: partitions, dynamics, and the analysis window.
+    """An instance, parsed from a document or drawn by the self-test.
 
-    Unrefined documents are normalized to the identity refinement with both
-    maps equal, so downstream code handles one shape.  ``refined`` records
-    whether the document genuinely refined anything.
+    It holds the partitions, the dynamics, and the analysis window.  Unrefined
+    documents are normalized to the identity refinement with both maps
+    equal, so downstream code handles one shape.  ``refined`` records whether
+    the document genuinely refined anything.
     """
 
     kind: str

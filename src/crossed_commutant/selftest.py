@@ -1,12 +1,14 @@
 """Randomized self-checks: oracle equivalences and algebraic laws.
 
 Instances are generated from a seeded RNG, so a given seed reproduces the
-identical stream.  Each suite returns how many subjects passed and a
-description of the first counterexample when one exists; the command line
-front end prints one line per suite.
+identical stream.  Each suite returns how many subjects passed and its first
+counterexample when one exists, ending in the instance document it failed on
+(one line of JSON that ``validate`` and ``report`` read back); the command
+line front end prints one line per suite.
 """
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +36,10 @@ from .dynamics import (
     validate_refined_invariance,
 )
 from .enumeration import count_refined_maps, enumerate_refined_maps
+from .instances import Instance, render_instance
 from .partition import (
     PieceKind,
+    RealLinePartition,
     Refinement,
     build_abstract_partition,
     build_real_line_partition,
@@ -45,28 +49,7 @@ from .partition import (
     refine_real_line,
 )
 
-WINDOW = 12
-
-
-@dataclass
-class GeneratedInstance:
-    refinement: Refinement
-    base_map: PieceMap
-    refined_map: PieceMap
-    refined: bool
-
-    @property
-    def size(self) -> int:
-        return self.refinement.refined.piece_count
-
-    def describe(self) -> str:
-        base = self.refinement.base
-        flavor = type(base).__name__
-        return (
-            f"{flavor} base_perm={list(self.base_map.perm)} "
-            f"refined_perm={list(self.refined_map.perm)} "
-            f"children={[list(c) for c in self.refinement.children]}"
-        )
+WINDOW = 12  # the suites check degrees -WINDOW..WINDOW
 
 
 @dataclass
@@ -110,7 +93,16 @@ def _random_lift(rng: random.Random, refinement: Refinement, base_map: PieceMap)
     return PieceMap(refinement.refined, tuple(perm))
 
 
-def random_instance(rng: random.Random, max_pieces: int = 11) -> GeneratedInstance:
+def _instance(refinement: Refinement, base_map: PieceMap, refined_map: PieceMap) -> Instance:
+    kind = "real_line" if isinstance(refinement.base, RealLinePartition) else "abstract"
+    return Instance(kind, refinement, base_map, refined_map, WINDOW, not refinement.is_identity)
+
+
+def _document(instance: Instance) -> str:
+    return json.dumps(render_instance(instance))
+
+
+def random_instance(rng: random.Random, max_pieces: int = 11) -> Instance:
     """One random instance, at most ``max_pieces`` fine pieces, two levels deep."""
     if rng.random() < 0.5:
         n = rng.randint(0, 3)
@@ -118,7 +110,7 @@ def random_instance(rng: random.Random, max_pieces: int = 11) -> GeneratedInstan
         base = build_real_line_partition(jumps)
         base_map = PieceMap(base, _random_kind_preserving_perm(rng, base))
         if rng.random() < 0.35:
-            return GeneratedInstance(identity_refinement(base), base_map, base_map, False)
+            return _instance(identity_refinement(base), base_map, base_map)
         budget = (max_pieces - base.piece_count) // 2
         additions = {}
         interval_cycles = [
@@ -140,7 +132,7 @@ def random_instance(rng: random.Random, max_pieces: int = 11) -> GeneratedInstan
         rng.shuffle(perm)
         base_map = PieceMap(base, tuple(perm))
         if rng.random() < 0.35:
-            return GeneratedInstance(identity_refinement(base), base_map, base_map, False)
+            return _instance(identity_refinement(base), base_map, base_map)
         cycles = perm_cycles(base_map.perm)
         cells: dict[int, int] = {}
         budget = max_pieces
@@ -155,12 +147,11 @@ def random_instance(rng: random.Random, max_pieces: int = 11) -> GeneratedInstan
         refinement = refine_abstract(base, cells)
 
     if refinement.is_identity:
-        return GeneratedInstance(refinement, base_map, base_map, False)
-    refined_map = _random_lift(rng, refinement, base_map)
-    return GeneratedInstance(refinement, base_map, refined_map, True)
+        return _instance(refinement, base_map, base_map)
+    return _instance(refinement, base_map, _random_lift(rng, refinement, base_map))
 
 
-def _views(instance: GeneratedInstance) -> list[SubalgebraView]:
+def _views(instance: Instance) -> list[SubalgebraView]:
     views = [SubalgebraView.identity(instance.refinement.refined)]
     if instance.refined:
         views.append(SubalgebraView.of_refinement(instance.refinement))
@@ -185,7 +176,7 @@ def _random_element(rng: random.Random, size: int):
 # suites
 
 
-Outcome = tuple[GeneratedInstance, str | None] | None
+Outcome = tuple[Instance, str | None] | None
 
 
 def _run_suite(
@@ -198,8 +189,9 @@ def _run_suite(
     """Check ``count`` subjects drawn one after another from one seeded stream.
 
     ``subject(rng)`` draws one subject and returns None to skip it, else its
-    instance and None (a pass) or a failure description.  At most ``attempts``
-    draws are made per wanted subject; the total is the number checked.
+    instance and None (a pass) or a failure description.  A failure is
+    reported with the document of its instance.  At most ``attempts`` draws
+    are made per wanted subject; the total is the number checked.
     """
     rng = random.Random(seed)
     passed = 0
@@ -211,7 +203,7 @@ def _run_suite(
             continue
         instance, failure = outcome
         if failure is not None:
-            counterexample = f"subject {passed + 1}: {failure} on {instance.describe()}"
+            counterexample = f"subject {passed + 1}: {failure} on {_document(instance)}"
             return SuiteResult(name, passed, count, counterexample)
         passed += 1
     return SuiteResult(name, passed, passed)
@@ -239,7 +231,7 @@ def suite_action_laws(seed: int, iterations: int = 300) -> SuiteResult:
     def subject(rng: random.Random) -> Outcome:
         instance = random_instance(rng)
         pm = instance.refined_map
-        size = instance.size
+        size = pm.size
         f, g = _random_vector(rng, size), _random_vector(rng, size)
         n, m = rng.randint(-6, 6), rng.randint(-6, 6)
         ok = (
@@ -259,7 +251,7 @@ def suite_algebra_laws(seed: int, triples: int = 500) -> SuiteResult:
     def subject(rng: random.Random) -> Outcome:
         instance = random_instance(rng)
         pm = instance.refined_map
-        size = instance.size
+        size = pm.size
         f, g, h = (_random_element(rng, size) for _ in range(3))
         a = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         b = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
@@ -426,7 +418,10 @@ def suite_profiles(seed: int, instances: int = 40) -> SuiteResult:
             rcc = refined_cycle_classes(refinement, bm, rm)
             back = pi_profile(rcc, range(k))
             if back.sorted_items() != profile.sorted_items():
-                result.counterexample = f"realize round trip failed for k={k}, p={p}, {profile}"
+                document = _document(_instance(refinement, bm, rm))
+                result.counterexample = (
+                    f"realize round trip failed for k={k}, p={p}, {profile} on {document}"
+                )
                 return result
     return result
 

@@ -161,7 +161,7 @@ def test_transport_matches_repeated_single_steps_on_seeded_maps():
             for k in range(3 * L + 1):
                 assert sigma_tilde_pow(f, pm, sign * k).values == want
                 want = _step(want, pm.perm, sign)
-        assert len(pm._inverse_powers) == L
+        assert len(pm._memo) == L
 
 
 def test_transport_memo_reuses_residues_and_stays_out_of_copies(monkeypatch):
@@ -174,10 +174,10 @@ def test_transport_memo_reuses_residues_and_stays_out_of_copies(monkeypatch):
     assert len(calls) == 1
     for n in (2 + 6, 2 - 6, 2 + 60):
         assert sigma_tilde_pow(f, pm, n) == moved
-    assert len(calls) == 1 and len(pm._inverse_powers) == 1
+    assert len(calls) == 1 and len(pm._memo) == 1
     for twin in (pickle.loads(pickle.dumps(pm)), copy.deepcopy(pm)):
         assert twin == pm
-        assert "_inverse_powers" not in vars(twin)
+        assert "_memo" not in vars(twin)
         assert sigma_tilde_pow(f, twin, 2) == moved
     assert len(calls) == 3
 

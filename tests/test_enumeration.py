@@ -352,7 +352,7 @@ def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
     constructed(commutant.SubalgebraView)
     constructed(commutant.CommutantDescription)
     instances = list(atlas_instances(3))
-    assert calls["count_refined_maps"] == 14  # only the base maps that admit lifts
+    assert calls["count_refined_maps"] == 0  # the shape screen keeps only maps that lift
     groups = classify_cases(instances)
     assert sum(g.count for g in groups.values()) == 264
     # a lift is its interval images (head) then its point images (tail); a head
@@ -372,7 +372,7 @@ def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
     assert calls == {
         "perm_cycles": 104 + 14,
         "cycle_lengths": 14,
-        "count_refined_maps": 14,
+        "count_refined_maps": 0,
         "commutant_description": 0,
         "commutant_difference": 0,
         "SubalgebraView": 0,

@@ -1,8 +1,20 @@
 """The self-test runner: counting, the skip cap and counterexamples."""
+import json
 import random
+import re
 
 import crossed_commutant.selftest as selftest
+from crossed_commutant.cli import main
+from crossed_commutant.commutant import SubalgebraView, brute_force_sep
+from crossed_commutant.instances import parse_instance, render_instance
 from crossed_commutant.selftest import _run_suite, random_instance, suite_sep_oracle
+
+
+def _document(counterexample):
+    """The instance document a counterexample ends in, parsed."""
+    head, sep, document = counterexample.rpartition(" on ")
+    assert sep and document.startswith("{")
+    return json.loads(document)
 
 
 def test_a_broken_formula_yields_a_counterexample(monkeypatch):
@@ -12,7 +24,48 @@ def test_a_broken_formula_yields_a_counterexample(monkeypatch):
     assert result.total == 50
     assert result.passed < 50
     assert result.counterexample.startswith(f"subject {result.passed + 1}: n=")
-    assert " on " in result.counterexample
+    assert parse_instance(_document(result.counterexample)).window == selftest.WINDOW
+
+
+def test_a_counterexample_replays_through_validate_and_report(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(selftest, "sep_set", lambda view, piece_map, n: frozenset())
+    assert main(["selftest", "--seed", "3", "--iterations", "20"]) == 1
+    lines = [
+        line.split("counterexample: ", 1)[1]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  counterexample: ")
+    ]
+    assert lines
+    for line in lines:  # every suite's counterexample ends in a parseable document
+        parse_instance(_document(line))
+    n = int(re.match(r"subject \d+: n=(-?\d+) ", lines[0]).group(1))
+    document = _document(lines[0])
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(document))
+
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["window"] == selftest.WINDOW
+    instance = parse_instance(document)
+    oracle = brute_force_sep(
+        SubalgebraView.identity(instance.analysis_partition), instance.refined_map, n
+    )
+    assert payload["sep"][str(n)] == sorted(oracle) != []
+
+
+def test_a_failed_realize_round_trip_carries_its_document(monkeypatch):
+    real = selftest.realize_pi
+
+    def realize_the_last(k, p, profile):
+        return real(k, p, selftest._admissible_profiles(k, p)[-1])
+
+    monkeypatch.setattr(selftest, "realize_pi", realize_the_last)
+    result = selftest.suite_profiles(seed=0, instances=5)
+    assert result.counterexample.startswith("realize round trip failed for k=1, p=1, ")
+    instance = parse_instance(_document(result.counterexample))
+    assert instance.refined and instance.window == selftest.WINDOW
 
 
 def test_skips_stop_at_the_attempt_cap():
@@ -31,12 +84,12 @@ def test_subjects_share_one_seeded_stream():
 
     def record(rng):
         instance = random_instance(rng)
-        seen.append(instance.describe())
+        seen.append(render_instance(instance))
         return instance, None
 
     assert _run_suite("stream", 11, 4, record).ok
     rng = random.Random(11)
-    assert seen == [random_instance(rng).describe() for _ in range(4)]
+    assert seen == [render_instance(random_instance(rng)) for _ in range(4)]
 
 
 def test_refinement_suite_checks_each_lift_and_view_once(monkeypatch):
