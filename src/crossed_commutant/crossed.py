@@ -14,9 +14,10 @@ point.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING
 
 from .dynamics import PieceMap, perm_power
 from .errors import PartitionMismatch
@@ -90,7 +91,9 @@ def _vector(values: tuple[Fraction, ...]) -> CoefficientVector:
     return vec
 
 
-VectorLike = Union[CoefficientVector, Sequence[RationalLike]]
+# a PEP 604 union of abc generics: typing.Union (and typing.Sequence on the right
+# of |) is kept in typing's cache, holding this class alive across fresh imports
+VectorLike = CoefficientVector | Sequence[RationalLike]
 
 
 @dataclass(frozen=True)

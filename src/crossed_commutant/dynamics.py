@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     InfeasibleProfile,
@@ -312,18 +312,8 @@ def refined_cycle_classes(
     """
     base_cls = cycle_classes(base_map)
     k_of = _gather(base_cls.period_of, refinement.parent_of)
-    cycles = perm_cycles(refined_map.perm)
-    tilde = _filed_cycles(cycles, k_of, refinement.refined.label_of, frozenset)
-    return RefinedCycleClassification(refinement, base_cls, tilde)
-
-
-def _filed_cycles(cycles, k_of: Sequence[int], label_of, collect) -> dict[tuple[int, int], Any]:
-    """Per (parent period k, multiplier l), in key order, ``collect`` of the cycles' pieces.
-
-    Raises LiftInconsistent naming the least piece whose period is not a multiple of k.
-    """
     by_periods: dict[tuple[int, int], list[int]] = {}  # (parent period, fine period)
-    for cycle in cycles:
+    for cycle in perm_cycles(refined_map.perm):
         fine = len(cycle)
         for child in cycle:
             by_periods.setdefault((k_of[child], fine), []).append(child)
@@ -331,29 +321,11 @@ def _filed_cycles(cycles, k_of: Sequence[int], label_of, collect) -> dict[tuple[
     if failed:
         child, fine, k = min(failed)
         raise LiftInconsistent(
-            f"piece {label_of(child)} has period {fine}, "
+            f"piece {refinement.refined.label_of(child)} has period {fine}, "
             f"not a multiple of its parent's period {k}"
         )
-    return {(k, fine // k): collect(v) for (k, fine), v in sorted(by_periods.items())}
-
-
-def _part_class_sizes(refinement: Refinement, k_of, want, start: int, images) -> tuple | None:
-    """The ((k, l), size) pairs, in key order, of the lift's pieces ``start, start + 1, ...``.
-
-    ``images`` are those pieces' images; ``k_of`` and ``want`` give every fine
-    piece its parent's period and wanted image.  None when the part leaves its
-    id range, breaks the lift law, or fails the divisibility check.
-    """
-    stop = start + len(images)
-    if images and (min(images) < start or max(images) >= stop):
-        return None
-    if images and _gather(refinement.parent_of, images) != want[start:stop]:
-        return None
-    try:  # on failure the general path words the error
-        cycles = perm_cycles([c - start for c in images])
-        return tuple(_filed_cycles(cycles, k_of[start:stop], str, len).items())
-    except LiftInconsistent:
-        return None
+    tilde = {(k, fine // k): frozenset(v) for (k, fine), v in sorted(by_periods.items())}
+    return RefinedCycleClassification(refinement, base_cls, tilde)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ members have the same child structure that is (c_int! * c_pt!)^k.
 Two instances are considered the same case when their commutant differences
 agree up to a relabeling of pieces, which holds exactly when the sizes of
 their (parent period, multiplier) classes with multiplier at least 2 match;
-that multiset is the case signature.
+that multiset is the case signature.  Over a whole atlas those sizes are
+counted from the cycle types of each base orbit's return maps, with no lift
+walked; the per-lift classification stays as its oracle.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -22,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .commutant import DifferenceDescription, commutant_difference
-from .dynamics import PieceMap, _gather, _part_class_sizes, _unchecked_piece_map, perm_cycles
+from .dynamics import PieceMap, _unchecked_piece_map, perm_cycles
 from .errors import ScaleExceeded
 from .partition import (
     Refinement,
@@ -149,45 +152,18 @@ def classify_cases(instances: Iterable[Lift]) -> dict[CaseSignature, CaseGroup]:
     """Group instances by case signature, keeping a deterministic representative.
 
     The representative is minimal by (piece count, base perm, refined perm),
-    so reruns over the same stream pick the same witnesses.  A lift's class
-    sizes are its non-point part's plus its point part's.  By the lift law a
-    part's sizes depend only on its images and on its pieces' parent periods
-    and wanted images, so each distinct non-point part is classified once per
-    refinement, shared by every base map that agrees there, and each point
-    part once per base map; the rest goes through ``commutant_difference``.
+    so reruns over the same stream pick the same witnesses.  A whole atlas
+    not yet iterated is counted from cycle types (see ``_atlas_census``)
+    without walking a lift; any other stream, a partly consumed atlas
+    included, is classified lift by lift through ``commutant_difference``.
     """
+    if isinstance(instances, _Atlas) and instances.lifts is None:
+        return instances.census()
     found: dict[tuple, list] = {}  # triples -> [count, key, representative]
-    refinement = base_map = None
     for instance in instances:
-        if instance[0] is not refinement:
-            refinement, base_map = instance[0], None
-            known, table = {}, {}  # (k_of, want) over the heads -> images -> sizes
-            h = sum(len(kinds[0]) for kinds in refinement.kind_split)
-            pieces = refinement.refined.piece_count
-        if instance[1] is not base_map:
-            base_map = instance[1]
-            own = base_map.partition is refinement.base
-            if own:
-                k_of = _gather(base_map.cycle_classification.period_of, refinement.parent_of)
-                want = _gather(base_map.perm, refinement.parent_of)
-                heads = known.setdefault((k_of[:h], want[:h]), {})
-                tails = {}  # point images seldom repeat across base maps
-        refined_map = instance[2]
-        triples = None
-        if own and refined_map.partition is refinement.refined:
-            head, tail = refined_map.perm[:h], refined_map.perm[h:]
-            if head not in heads:
-                heads[head] = _part_class_sizes(refinement, k_of, want, 0, head)
-            if tail not in tails:
-                tails[tail] = _part_class_sizes(refinement, k_of, want, h, tail)
-            parts = heads[head], tails[tail]
-            if None not in parts:
-                triples = table.get(parts)
-                if triples is None:
-                    triples = table[parts] = _signature_triples(*parts)
-        if triples is None:
-            triples = case_signature(commutant_difference(refinement, base_map, refined_map)).triples
-        key = (pieces, base_map.perm, refined_map.perm)
+        refinement, base_map, refined_map = instance
+        triples = case_signature(commutant_difference(refinement, base_map, refined_map)).triples
+        key = (refinement.refined.piece_count, base_map.perm, refined_map.perm)
         entry = found.get(triples)
         if entry is None:
             found[triples] = [1, key, instance]
@@ -220,6 +196,13 @@ def integer_partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n, ())
 
 
+def _interval_perms(interval_ids, shape=None) -> Iterator[tuple[int, ...]]:
+    """Images of the intervals, in permutation order; with ``shape`` per piece, onto equal shapes only."""
+    for iperm in itertools.permutations(interval_ids):
+        if not shape or all(shape[a] == shape[b] for a, b in zip(interval_ids, iperm)):
+            yield iperm
+
+
 def _kind_preserving_base_maps(partition, shape=None) -> Iterator[PieceMap]:
     """Maps sending intervals to intervals and points to points, in a fixed order.
 
@@ -227,9 +210,7 @@ def _kind_preserving_base_maps(partition, shape=None) -> Iterator[PieceMap]:
     """
     interval_ids = list(partition.interval_ids())
     point_ids = list(partition.point_ids())
-    for iperm in itertools.permutations(interval_ids):
-        if shape and any(shape[a] != shape[b] for a, b in zip(interval_ids, iperm)):
-            continue
+    for iperm in _interval_perms(interval_ids, shape):
         for pperm in itertools.permutations(point_ids):
             perm = [0] * partition.piece_count
             for src, dst in zip(interval_ids, iperm):
@@ -239,24 +220,8 @@ def _kind_preserving_base_maps(partition, shape=None) -> Iterator[PieceMap]:
             yield PieceMap(partition, tuple(perm))
 
 
-def atlas_instances(
-    total_points: int,
-    base_n: int | None = None,
-    max_pieces: int = DESK_SCALE_MAX_PIECES,
-    max_lifts: int = 1_000_000,
-) -> Iterator[Lift]:
-    """Every way of adding ``total_points`` jump points at minimal base size.
-
-    For each distribution of the points over distinct intervals, the base
-    has exactly as many intervals as the distribution has parts (or base_n
-    jump points when given), the first intervals receive the points, and
-    every base map admitting lifts contributes its full lift stream.  Those
-    maps send points to points and each interval onto one with as many added
-    points; no other map is built.  There are n! * prod(multiplicity!) of
-    them, each with prod((p+1)! * p!) lifts over its intervals' p added
-    points.  Before the first lift is yielded, every distribution is checked
-    against the piece cap and the census's total lifts against ``max_lifts``.
-    """
+def _atlas_plan(total_points, base_n, max_pieces, max_lifts) -> list[tuple[tuple[int, ...], int]]:
+    """Every (distribution, base jump points) of the atlas, after its scale checks."""
     plan, lifts = [], 0
     for distribution in integer_partitions(total_points):
         parts = len(distribution)
@@ -276,17 +241,206 @@ def atlas_instances(
         )
     if lifts > max_lifts:
         raise ScaleExceeded(f"{lifts} lifts exceeds the budget of {max_lifts}")
-    for distribution, n in plan:
-        base = build_real_line_partition([Fraction(i) for i in range(1, n + 1)])
-        additions = {
-            alpha: evenly_spaced_inside(*base.bounds_of(alpha), count)
-            for alpha, count in enumerate(distribution)
-        }
-        refinement = refine_real_line(base, additions)
+    return plan
+
+
+def _atlas_refinement(distribution: tuple[int, ...], n: int) -> Refinement:
+    """n base jump points, the first intervals receiving the distribution's points."""
+    base = build_real_line_partition([Fraction(i) for i in range(1, n + 1)])
+    additions = {
+        alpha: evenly_spaced_inside(*base.bounds_of(alpha), count)
+        for alpha, count in enumerate(distribution)
+    }
+    return refine_real_line(base, additions)
+
+
+def _atlas_lifts(args) -> Iterator[Lift]:
+    for distribution, n in _atlas_plan(*args):
+        refinement = _atlas_refinement(distribution, n)
         shape = [tuple(map(len, kinds)) for kinds in refinement.kind_split]
-        for base_map in _kind_preserving_base_maps(base, shape):
+        for base_map in _kind_preserving_base_maps(refinement.base, shape):
             for refined_map in enumerate_refined_maps(refinement, base_map):
                 yield refinement, base_map, refined_map
+
+
+class _Atlas:
+    """The lift stream of ``atlas_instances``; ``lifts`` stays None until the first ``next()``."""
+
+    def __init__(self, *args) -> None:
+        self.args = args
+        self.lifts: Iterator[Lift] | None = None
+
+    def __iter__(self) -> "_Atlas":
+        return self
+
+    def __next__(self) -> Lift:
+        if self.lifts is None:
+            self.lifts = _atlas_lifts(self.args)
+        return next(self.lifts)
+
+    def census(self) -> dict[CaseSignature, CaseGroup]:
+        """What ``classify_cases`` finds on the whole stream, which it leaves consumed."""
+        self.lifts = iter(())
+        return _atlas_census(_atlas_plan(*self.args))
+
+
+def atlas_instances(
+    total_points: int,
+    base_n: int | None = None,
+    max_pieces: int = DESK_SCALE_MAX_PIECES,
+    max_lifts: int = 1_000_000,
+) -> Iterator[Lift]:
+    """Every way of adding ``total_points`` jump points at minimal base size.
+
+    For each distribution of the points over distinct intervals, the base
+    has exactly as many intervals as the distribution has parts (or base_n
+    jump points when given), the first intervals receive the points, and
+    every base map admitting lifts contributes its full lift stream.  Those
+    maps send points to points and each interval onto one with as many added
+    points; no other map is built.  There are n! * prod(multiplicity!) of
+    them, each with prod((p+1)! * p!) lifts over its intervals' p added
+    points.  Before the first lift is yielded, every distribution is checked
+    against the piece cap and the census's total lifts against ``max_lifts``.
+    Handed whole to ``classify_cases``, the stream is counted, not walked.
+    """
+    return _Atlas(total_points, base_n, max_pieces, max_lifts)
+
+
+def _type_size(cycle_type: tuple[int, ...]) -> int:
+    """N!/z: how many permutations of N = sum(cycle_type) things have this cycle type."""
+    z = math.prod(l**m * math.factorial(m) for l, m in Counter(cycle_type).items())
+    return math.factorial(sum(cycle_type)) // z
+
+
+@functools.cache
+def _first_of_each_type(size: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Per cycle type, its first permutation of ``range(size)`` in ``itertools.permutations`` order.
+
+    That order is lexicographic, so each is the lex-minimal one of its type.
+    """
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    types = integer_partition_count(size)
+    for perm in itertools.permutations(range(size)):
+        first.setdefault(_cycle_type(perm, range(size)), perm)
+        if len(first) == types:
+            break
+    return first
+
+
+@functools.cache
+def _orbit_options(k: int, intervals: int, points: int) -> tuple[tuple, ...]:
+    """The lifts over one base orbit of k pieces, each with these child counts, by cycle types.
+
+    A lift's classes there depend only on the cycle types (lambda, mu) of its
+    return maps on the subintervals and on the points: each l-cycle is one
+    fine orbit of k*l pieces, in class (k, l).  Every arc but one is free and
+    the last one fixes the return map, so (a! b!)^(k-1) * a!/z_lambda *
+    b!/z_mu lifts have the pair (cycle index; Stanley, EC1 1.3).  One option
+    per pair: (count, ((k, l), size) pairs, the lex-minimal permutations of
+    types lambda and mu).
+    """
+    free = (math.factorial(intervals) * math.factorial(points)) ** (k - 1)
+    options = []
+    for lam in integer_partitions(intervals):
+        for mu in integer_partitions(points):
+            sizes = Counter()
+            for l in lam + mu:
+                sizes[k, l] += k * l
+            options.append((
+                free * _type_size(lam) * _type_size(mu),
+                tuple(sorted(sizes.items())),
+                _first_of_each_type(intervals)[lam],
+                _first_of_each_type(points)[mu],
+            ))
+    return tuple(options)
+
+
+@functools.cache
+def _orbit_choices(orbits: tuple[tuple[int, int, int], ...]) -> tuple[tuple, ...]:
+    """Per choice of one option for each (k, child counts) orbit: (triples, lifts, choice)."""
+    return tuple(
+        (
+            _signature_triples(*(option[1] for option in choice)),
+            math.prod(option[0] for option in choice),
+            choice,
+        )
+        for choice in itertools.product(*(_orbit_options(*orbit) for orbit in orbits))
+    )
+
+
+def _atlas_census(plan) -> dict[CaseSignature, CaseGroup]:
+    """``classify_cases`` of the atlas's lifts, from cycle types alone.
+
+    Base points have one child each, so the n! permutations of the base
+    points lift alike; their classes have multiplier 1, and the
+    representative fixes them.  Over each interval permutation that admits
+    lifts, a lift is one independent choice per base orbit, so its counts
+    multiply and its class sizes add across the orbits' ``_orbit_options``.
+
+    Representatives: within one orbit and one kind, children come in the
+    order of their parents' ids.  Every arc can keep its children's order
+    except the one out of the member with the largest id, and with the others
+    order preserving, that arc is the return map.  So the lex-minimal lift
+    with return types (lambda, mu) takes there the lex-minimal permutations
+    of those types, and orbits and kinds fill disjoint positions, so the
+    minimal lift of a choice per orbit is the per-orbit minima together.
+    """
+    found: dict[tuple, list] = {}  # triples -> [count, key, refinement]
+    for distribution, n in plan:
+        refinement = _atlas_refinement(distribution, n)
+        split = refinement.kind_split
+        shape = [tuple(map(len, kinds)) for kinds in split]
+        pieces = refinement.refined.piece_count
+        base_points = tuple(range(n + 1, 2 * n + 1))
+        for iperm in _interval_perms(range(n + 1), shape):
+            base_perm = iperm + base_points
+            orbits = perm_cycles(iperm)
+            straight = None
+            for triples, lifts, choice in _orbit_choices(tuple((len(c), *shape[c[0]]) for c in orbits)):
+                count = math.factorial(n) * lifts
+                entry = found.get(triples)
+                if entry is not None:
+                    entry[0] += count
+                    if (pieces, base_perm) > entry[1][:2]:
+                        continue
+                if straight is None:
+                    straight = _straight_lift(split, base_perm, pieces)
+                key = (pieces, base_perm, _minimal_lift(straight, split, base_perm, orbits, choice))
+                if entry is None:
+                    found[triples] = [count, key, refinement]
+                elif key < entry[1]:
+                    entry[1:] = key, refinement
+    groups = [
+        CaseGroup(
+            CaseSignature(triples),
+            count,
+            (ref, PieceMap(ref.base, base_perm), PieceMap(ref.refined, refined_perm)),
+        )
+        for triples, (count, (_, base_perm, refined_perm), ref) in found.items()
+    ]
+    return {group.signature: group for group in groups}
+
+
+def _straight_lift(split, base_perm, pieces: int) -> list[int]:
+    """The lift keeping every arc's children in order."""
+    perm = [0] * pieces
+    for b, image in enumerate(base_perm):
+        for kind in (0, 1):
+            for src, dst in zip(split[b][kind], split[image][kind]):
+                perm[src] = dst
+    return perm
+
+
+def _minimal_lift(straight, split, base_perm, orbits, choice) -> tuple[int, ...]:
+    """``straight`` with each orbit's last arc set to its option's minimal return maps."""
+    perm = list(straight)
+    for cycle, (_, _, *returns) in zip(orbits, choice):
+        last = max(cycle)
+        for kind, sigma in enumerate(returns):
+            dst = split[base_perm[last]][kind]
+            for child, image in zip(split[last][kind], sigma):
+                perm[child] = dst[image]
+    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------

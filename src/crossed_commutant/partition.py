@@ -157,7 +157,9 @@ class AbstractPartition:
         return self.pieces[piece_id].label
 
 
-Partition = Union[RealLinePartition, AbstractPartition]
+# a PEP 604 union: typing.Union is kept in typing's cache, holding these
+# classes alive across fresh imports of the package
+Partition = RealLinePartition | AbstractPartition
 
 
 @dataclass(frozen=True)

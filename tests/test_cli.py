@@ -188,6 +188,16 @@ def test_atlas_two_points_json(capsys):
     assert sum(case["count"] for case in payload["cases"]) == 20
 
 
+def test_atlas_of_single_lift_base_maps_is_one_counted_case(capsys):
+    # 6! * 5! base maps of one lift each, counted without walking them
+    code, out, err = run(capsys, "atlas", "--points", "0", "--base-n", "5", "--json")
+    assert code == 0
+    (case,) = json.loads(out)["cases"]
+    assert case["signature"] == "no difference" and case["count"] == 86_400
+    identity = list(range(11))
+    assert case["representative"] == {"pieces": 11, "base_perm": identity, "refined_perm": identity}
+
+
 def test_atlas_scale_exceeded(capsys):
     code, out, err = run(capsys, "atlas", "--points", "2", "--base-n", "0")
     assert code == 2

@@ -1,6 +1,7 @@
 """Lift enumeration, case classification, atlases, and counting."""
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -305,7 +306,7 @@ def test_atlas_refuses_before_classifying_any_lift(points, base_n, monkeypatch):
     import crossed_commutant.enumeration as enumeration
 
     calls = []
-    for name in ("commutant_difference", "_part_class_sizes"):
+    for name in ("commutant_difference", "enumerate_refined_maps"):
         real = getattr(enumeration, name)
         monkeypatch.setattr(
             enumeration, name, lambda *args, real=real: calls.append(args) or real(*args)
@@ -355,26 +356,16 @@ def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
     assert calls["count_refined_maps"] == 0  # the shape screen keeps only maps that lift
     groups = classify_cases(instances)
     assert sum(g.count for g in groups.values()) == 264
-    # a lift is its interval images (head) then its point images (tail); a head
-    # is walked once per refinement, parent periods, wanted images and images,
-    # a tail once per base map and images
-    parts = set()
-    for ref, bm, rm in instances:
-        h = ref.refined.n + 1
-        period = {b: len(cycle) for cycle in perm_cycles(bm.perm) for b in cycle}
-        k_of = tuple(period[b] for b in ref.parent_of[:h])
-        want = tuple(bm.perm[b] for b in ref.parent_of[:h])
-        parts |= {(id(ref), k_of, want, rm.perm[:h]), (id(bm), rm.perm[h:])}
-    assert len(parts) == 104
-    # plus one walk per base map (14 of them admit lifts) inside its
-    # cycle_lengths; no lift takes the general path, and the signature reads
-    # only the (k, l) class sizes, so no description is built
+    # a list takes the per-lift path: one commutant_difference and one walk of
+    # its orbits per lift, plus one walk per base map (14 of them admit lifts)
+    # inside its cycle_lengths; the signature reads only the (k, l) class
+    # sizes, so no description is built
     assert calls == {
-        "perm_cycles": 104 + 14,
+        "perm_cycles": 264 + 14,
         "cycle_lengths": 14,
         "count_refined_maps": 0,
         "commutant_description": 0,
-        "commutant_difference": 0,
+        "commutant_difference": 264,
         "SubalgebraView": 0,
         "CommutantDescription": 0,
     }
@@ -387,7 +378,70 @@ def test_atlas_classifies_each_lift_from_one_orbit_walk(monkeypatch):
     assert diff.coarse.class_pieces and diff.refined.class_pieces
     assert calls["SubalgebraView"] == 2 and calls["CommutantDescription"] == 2
     assert calls["cycle_lengths"] == 14
-    assert calls["perm_cycles"] == 104 + 14 + 1
+    assert calls["perm_cycles"] == 264 + 14 + 1
+
+
+def test_atlas_census_walks_no_lift(monkeypatch):
+    import crossed_commutant.enumeration as enumeration
+
+    calls = Counter()
+    for name in ("enumerate_refined_maps", "commutant_difference"):
+        real = getattr(enumeration, name)
+        monkeypatch.setattr(
+            enumeration, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args)
+        )
+    groups = classify_cases(atlas_instances(3))
+    assert len(groups) == 14 and sum(g.count for g in groups.values()) == 264
+    assert not calls
+    # the counters see the walk of the same atlas: one stream per lifting base map
+    list(atlas_instances(3))
+    assert calls == {"enumerate_refined_maps": 14}
+
+
+def _census_rows(groups):
+    """Per case: signature, count, and the representative's piece count and perms."""
+    return sorted(
+        (sig.triples, g.count, ref.refined.piece_count, bm.perm, rm.perm)
+        for sig, g in groups.items()
+        for ref, bm, rm in [g.representative]
+    )
+
+
+@pytest.mark.parametrize("points, base_n", WALKED_CENSUSES + [(5, None)])
+def test_atlas_census_equals_the_lift_stream(points, base_n):
+    census = classify_cases(atlas_instances(points, base_n, max_pieces=19))
+    stream = classify_cases(list(atlas_instances(points, base_n, max_pieces=19)))
+    assert _census_rows(census) == _census_rows(stream)
+    # each representative is a lift with its group's signature
+    for sig, group in census.items():
+        assert validate_refined_invariance(*group.representative).ok
+        assert case_signature(commutant_difference(*group.representative)) == sig
+
+
+def test_a_partly_consumed_atlas_classifies_its_remaining_lifts():
+    stream = atlas_instances(3, base_n=2)
+    next(stream)
+    rest = list(atlas_instances(3, base_n=2))[1:]
+    assert _census_rows(classify_cases(stream)) == _census_rows(classify_cases(rest))
+    # a census leaves the stream consumed, as a walk would
+    whole = atlas_instances(2)
+    assert len(classify_cases(whole)) == 6
+    assert list(whole) == [] and classify_cases(whole) == {}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_one_orbit_table_has_a_row_per_pair_of_cycle_types(p):
+    from math import factorial
+
+    from crossed_commutant.enumeration import _orbit_options
+
+    options = _orbit_options(1, p + 1, p)
+    assert len(options) == c1_subcase_count(p)
+    assert sum(count for count, *_ in options) == factorial(p + 1) * factorial(p)
+    # each row's minimal permutations have the cycle types its sizes record
+    for _, sizes, sub, pts in options:
+        types = sorted(len(c) for perm in (sub, pts) for c in perm_cycles(perm))
+        assert sorted(l for (_, l), size in sizes for _ in range(size // l)) == types
 
 
 # (points, base_n) of every census in the benchmark's atlas workload
@@ -468,8 +522,9 @@ def test_classify_cases_equals_the_per_lift_reference_when_refinements_interleav
         enumeration, "commutant_difference", lambda *args: calls.append(args) or real(*args)
     )
     for instances in (stream, alternating):
+        calls.clear()
         got = _cases(classify_cases(instances))
-        assert calls == []  # every lift is read from its parts
+        assert len(calls) == len(instances)  # every lift is classified on its own
         assert _same_cases(got, _reference_cases(instances))
     # a head seen in a lift of the swap is no head of an identity lift
     h = a.refined.n + 1
@@ -497,36 +552,6 @@ def test_classify_cases_equals_the_per_lift_reference_on_equal_but_not_identical
     assert _same_cases(_cases(classify_cases(mixed)), _reference_cases(mixed))
 
 
-def test_classify_cases_leaves_what_the_parts_cannot_vouch_for_to_the_general_path(monkeypatch):
-    import crossed_commutant.enumeration as enumeration
-
-    # a valid lift whose head is not closed: the interval I_2 swaps with the point {1}
-    base = build_real_line_partition(["1"])
-    ref = refine_real_line(base, {0: ["0"]})
-    bm, rm = PieceMap(base, (0, 2, 1)), PieceMap(ref.refined, (0, 1, 4, 3, 2))
-    assert validate_refined_invariance(ref, bm, rm).ok
-    calls = []
-    real = enumeration.commutant_difference
-    monkeypatch.setattr(
-        enumeration, "commutant_difference", lambda *args: calls.append(args) or real(*args)
-    )
-    groups = classify_cases([(ref, bm, rm)])
-    assert [str(sig) for sig in groups] == ["no difference"] and len(calls) == 1
-    # maps on equal partitions that are other objects take the general path too
-    swap_ref, swap_bm = two_intervals_swapped()
-    copy_ref, copy_bm = two_intervals_swapped()
-    lifts = [(swap_ref, swap_bm, rm) for rm in enumerate_refined_maps(swap_ref, swap_bm)]
-    mixed = [
-        (swap_ref, copy_bm, lifts[0][2]),
-        (swap_ref, swap_bm, PieceMap(copy_ref.refined, lifts[1][2].perm)),
-        *lifts,
-    ]
-    calls.clear()
-    got = _cases(classify_cases(mixed))
-    assert len(calls) == 2
-    assert _same_cases(got, _reference_cases(mixed))
-
-
 def _non_lift(case):
     ref, swap = two_intervals_swapped()  # intervals 0-3, points 4-6
     if case == "head":  # I_0's children swap with I_1's, but the base map fixes both
@@ -552,17 +577,3 @@ def test_classify_cases_raises_what_commutant_difference_raises(case, error):
         classify_cases([(ref, bm, lift) for lift in valid] + [(ref, bm, rm)])
     assert type(got.value) is error
     assert str(got.value) == str(expected.value)
-
-
-def test_part_class_sizes_refuse_a_part_off_the_lift_law_or_the_divisibility_rule():
-    from crossed_commutant.dynamics import _part_class_sizes
-
-    ref, _ = one_interval_two_points()  # intervals 0, 1, 2 and points 3, 4, all in I_0
-    fixed = (0, 0, 0, 0, 0)
-    assert _part_class_sizes(ref, (1,) * 5, fixed, 0, (1, 2, 0)) == (((1, 3), 3),)
-    assert _part_class_sizes(ref, (1,) * 5, fixed, 3, (4, 3)) == (((1, 2), 2),)
-    assert _part_class_sizes(ref, (1,) * 5, fixed, 3, ()) == ()
-    # not closed, off the lift law, a fine period 1 under a parent of period 2
-    assert _part_class_sizes(ref, (1,) * 5, fixed, 3, (2, 3)) is None
-    assert _part_class_sizes(ref, (1,) * 5, (0, 0, 0, 1, 0), 3, (4, 3)) is None
-    assert _part_class_sizes(ref, (2,) * 5, fixed, 0, (0, 1, 2)) is None

@@ -79,8 +79,9 @@ def test_selftest_output_is_the_same_under_python_O():
     [
         ["report", "--builtin", "two-intervals-crossed", "--window", "8"],  # one product
         ["report", "--builtin", "two-intervals-identity"],  # graded, no product
+        ["atlas", "--points", "3", "--json"],  # the census of a whole atlas
     ],
-    ids=["not-graded", "graded"],
+    ids=["not-graded", "graded", "atlas"],
 )
 def test_grading_output_is_the_same_under_python_O(argv):
     _assert_same_under_python_O(argv)

@@ -1,5 +1,8 @@
 """The package's public surface: ``__all__`` and the names ``__init__`` imports."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import crossed_commutant
@@ -18,3 +21,30 @@ def test_all_lists_exactly_the_imported_public_names():
     assert len(set(imported)) == len(imported)
     for name in crossed_commutant.__all__:
         assert getattr(crossed_commutant, name) is not None
+
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+
+def fresh():
+    for name in [m for m in sys.modules if m == "crossed_commutant" or m.startswith("crossed_commutant.")]:
+        del sys.modules[name]
+    return importlib.import_module("crossed_commutant")
+
+first = fresh()
+refs = {name: weakref.ref(getattr(first, name)) for name in ("CoefficientVector", "RealLinePartition", "PieceMap")}
+del first
+fresh()
+fresh()
+gc.collect()
+print(sorted(name for name, ref in refs.items() if ref() is not None))
+"""
+
+
+def test_a_fresh_import_lets_the_previous_generation_go():
+    # in a subprocess, so that no other test sees sys.modules swapped
+    src = str(Path(crossed_commutant.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _REIMPORT], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"  # no class of the first generation is still alive
