@@ -127,17 +127,18 @@ def brute_force_sep(view: SubalgebraView, piece_map: PieceMap, n: int) -> frozen
 
     Walks the coarse indicator generators, transports each by the n-th power
     of the action, and records every fine piece where some generator and its
-    transport disagree.  Spanning arguments make generators sufficient.  No
-    cycle or divisibility reasoning is used; this is the oracle.
+    transport disagree; both vanish off their supports, so only the union of
+    the supports is compared.  Spanning arguments make generators sufficient.
+    No cycle or divisibility reasoning is used; this is the oracle.
     """
     descend_map(view, piece_map)  # same preconditions as sep_set
     size = view.ambient.piece_count
     separated: set[int] = set()
     for q in range(view.sub.piece_count):
         h = CoefficientVector.indicator(size, view.preimage(q))
-        moved = sigma_tilde_pow(h, piece_map, n)
-        if moved.values != h.values:
-            separated.update(p for p in range(size) if h.values[p] != moved.values[p])
+        a, b = h.entries, sigma_tilde_pow(h, piece_map, n).entries
+        if a != b:
+            separated.update(p for p in a.keys() | b.keys() if a.get(p, 0) != b.get(p, 0))
     return frozenset(separated)
 
 

@@ -4,7 +4,8 @@ A function constant on every piece of a partition is a coefficient vector of
 rationals indexed by piece id.  The dynamics acts on such functions by
 precomposition with the inverse point map, which on vectors is just an index
 shuffle: the transported value on piece P is the old value on the n-th
-inverse image of P.
+inverse image of P.  A vector stores only its nonzero entries, so transport,
+sums and products cost the support, not the number of pieces.
 
 An element of the crossed product is a finitely supported sum of terms
 "vector at integer degree n"; multiplication twists the right factor by the
@@ -14,7 +15,8 @@ point.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+import operator
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -30,64 +32,91 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoefficientVector:
-    """One rational value per piece; operations skip arithmetic on zero entries."""
+    """One rational value per piece, stored as the size and the nonzero entries.
 
-    values: tuple[Fraction, ...]
+    No entry holds zero, so every operation costs the support, not the size.
+    """
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
+    size: int
+    entries: dict[int, Fraction]  # piece id -> nonzero value; never mutated
+
+    def __init__(self, values: Iterable[RationalLike]) -> None:
+        values = tuple(values)
         if not set(map(type, values)) <= {Fraction}:
             values = tuple(as_fraction(v) for v in values)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "size", len(values))
+        object.__setattr__(self, "entries", {i: v for i, v in enumerate(values) if v})
 
     @classmethod
     def indicator(cls, size: int, pieces: Iterable[int]) -> "CoefficientVector":
-        values = [_ZERO] * size
+        entries = {}
         for i in pieces:
-            if not 0 <= i < size:
-                raise ValueError(f"piece {i} is not among the {size} pieces")
-            values[i] = _ONE
-        return _vector(tuple(values))
+            if type(i) is not int or not 0 <= i < size:
+                raise ValueError(f"piece {i!r} is not among the {size} pieces")
+            entries[i] = _ONE
+        return _vector(size, entries)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The dense read, one value per piece, built on every call."""
+        values = [_ZERO] * self.size
+        for i, v in self.entries.items():
+            values[i] = v
+        return tuple(values)
+
+    def __hash__(self) -> int:
+        return hash((self.size, frozenset(self.entries.items())))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.size
 
     def is_zero(self) -> bool:
-        return not any(self.values)
+        return not self.entries
 
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, v in enumerate(self.values) if v)
+        return frozenset(self.entries)
 
     def __add__(self, other: "CoefficientVector") -> "CoefficientVector":
-        self._check(other)
-        return _vector(tuple(a + b if a and b else a or b for a, b in zip(self.values, other.values)))
+        return self._merge(other, operator.add)
 
     def __sub__(self, other: "CoefficientVector") -> "CoefficientVector":
+        return self._merge(other, operator.sub)
+
+    def _merge(
+        self, other: "CoefficientVector", op: Callable[[Fraction, Fraction], Fraction]
+    ) -> "CoefficientVector":
+        """``op`` over the union of the supports; an entry that cancels is dropped."""
         self._check(other)
-        return _vector(tuple(a - b if b else a for a, b in zip(self.values, other.values)))
+        entries = dict(self.entries)
+        for i, b in other.entries.items():
+            v = op(entries.get(i, _ZERO), b)
+            if v:
+                entries[i] = v
+            else:
+                del entries[i]
+        return _vector(self.size, entries)
 
     def __mul__(self, other: "CoefficientVector") -> "CoefficientVector":
         """Pointwise product: multiplication in the function algebra."""
         self._check(other)
-        return _vector(tuple(a * b if a and b else _ZERO for a, b in zip(self.values, other.values)))
+        a, b = self.entries, other.entries
+        return _vector(self.size, {i: v * b[i] for i, v in a.items() if i in b})
 
     def scale(self, c: RationalLike) -> "CoefficientVector":
         c = as_fraction(c)
-        return _vector(tuple(c * v if v else _ZERO for v in self.values))
+        return _vector(self.size, {i: c * v for i, v in self.entries.items()} if c else {})
 
     def _check(self, other: "CoefficientVector") -> None:
-        if len(self.values) != len(other.values):
-            raise PartitionMismatch(
-                f"vectors of length {len(self.values)} and {len(other.values)}"
-            )
+        if self.size != other.size:
+            raise PartitionMismatch(f"vectors of length {self.size} and {other.size}")
 
 
-def _vector(values: tuple[Fraction, ...]) -> CoefficientVector:
-    # trusted constructor for results built from Fractions only: no type re-check
+def _vector(size: int, entries: dict[int, Fraction]) -> CoefficientVector:
+    # trusted constructor for nonzero Fraction entries on pieces below size: no re-check
     vec = object.__new__(CoefficientVector)
-    vec.__dict__["values"] = values
+    vec.__dict__.update(size=size, entries=entries)
     return vec
 
 
@@ -121,7 +150,7 @@ class CrossedElement:
     @property
     def size(self) -> int | None:
         """Length of the coefficient vectors, or None for the zero element."""
-        return len(self.terms[0][1]) if self.terms else None
+        return self.terms[0][1].size if self.terms else None
 
     def __add__(self, other: "CrossedElement") -> "CrossedElement":
         acc = {n: vec for n, vec in self.terms}
@@ -168,11 +197,14 @@ class CrossedElement:
 
 def crossed_element(terms: Mapping[int, VectorLike]) -> CrossedElement:
     """Build the normal form, pruning zero vectors and fixing the order."""
+    for n in terms:
+        if type(n) is not int:
+            raise TypeError(f"degree {n!r} is not an int")
     vectors = {
-        int(n): v if isinstance(v, CoefficientVector) else CoefficientVector(tuple(v))
+        n: v if isinstance(v, CoefficientVector) else CoefficientVector(tuple(v))
         for n, v in terms.items()
     }
-    sizes = {len(v) for v in vectors.values()}
+    sizes = {v.size for v in vectors.values()}
     if len(sizes) > 1:
         raise PartitionMismatch(f"terms have mixed vector lengths: {sorted(sizes)}")
     pruned = sorted((n, v) for n, v in vectors.items() if not v.is_zero())
@@ -191,20 +223,20 @@ def sigma_tilde_pow(f: CoefficientVector, piece_map: PieceMap, n: int) -> Coeffi
     """Transport a piecewise constant function by the n-th power of the map.
 
     The result takes, on piece P, the value f held on the n-th inverse image
-    of P; equivalently the indicator of Q is carried to the indicator of the
-    image of Q.  The inverse power depends on n mod L only and is memoised
+    of P; equivalently the entry on Q moves to the n-th image of Q, so the
+    cost is the support.  The power depends on n mod L only and is memoised
     on the map, one entry per residue asked for.
     """
-    if len(f) != piece_map.size:
+    if f.size != piece_map.size:
         raise PartitionMismatch(
-            f"vector of length {len(f)} on a partition with {piece_map.size} pieces"
+            f"vector of length {f.size} on a partition with {piece_map.size} pieces"
         )
     key = n % piece_map.period
     memo = piece_map._memo
-    back = memo.get(key)
-    if back is None:
-        back = memo[key] = perm_power(piece_map.perm, -key)
-    return _vector(tuple(map(f.values.__getitem__, back)))
+    forward = memo.get(key)
+    if forward is None:
+        forward = memo[key] = perm_power(piece_map.perm, key)
+    return _vector(f.size, {forward[i]: v for i, v in f.entries.items()})
 
 
 def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> CrossedElement:

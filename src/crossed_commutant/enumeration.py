@@ -313,18 +313,18 @@ def _type_size(cycle_type: tuple[int, ...]) -> int:
 
 
 @functools.cache
-def _first_of_each_type(size: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Per cycle type, its first permutation of ``range(size)`` in ``itertools.permutations`` order.
+def _minimal_perm(cycle_type: tuple[int, ...]) -> tuple[int, ...]:
+    """The lex-minimal permutation of ``range(sum(cycle_type))`` with this cycle type.
 
-    That order is lexicographic, so each is the lex-minimal one of its type.
+    Shortest cycles first, each on a run of consecutive ids: i -> i + 1 along
+    the run, and its last id back to the run's start.
     """
-    first: dict[tuple[int, ...], tuple[int, ...]] = {}
-    types = integer_partition_count(size)
-    for perm in itertools.permutations(range(size)):
-        first.setdefault(_cycle_type(perm, range(size)), perm)
-        if len(first) == types:
-            break
-    return first
+    perm: list[int] = []
+    for length in sorted(cycle_type):
+        start = len(perm)
+        perm.extend(range(start + 1, start + length))
+        perm.append(start)
+    return tuple(perm)
 
 
 @functools.cache
@@ -349,8 +349,8 @@ def _orbit_options(k: int, intervals: int, points: int) -> tuple[tuple, ...]:
             options.append((
                 free * _type_size(lam) * _type_size(mu),
                 tuple(sorted(sizes.items())),
-                _first_of_each_type(intervals)[lam],
-                _first_of_each_type(points)[mu],
+                _minimal_perm(lam),
+                _minimal_perm(mu),
             ))
     return tuple(options)
 

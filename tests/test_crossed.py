@@ -3,6 +3,7 @@ import copy
 import pickle
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from crossed_commutant import (
     PieceMap,
     SubalgebraView,
     build_abstract_partition,
+    brute_force_sep,
     build_real_line_partition,
     commutant_description,
     crossed_element,
@@ -23,6 +25,7 @@ from crossed_commutant import (
     monomial,
     multiply,
     rational_rank,
+    sep_set,
     sigma_tilde_pow,
 )
 from crossed_commutant.crossed import GradingResult
@@ -164,6 +167,36 @@ def test_transport_matches_repeated_single_steps_on_seeded_maps():
         assert len(pm._memo) == L
 
 
+def _dense_literal_sep(view, perm, degrees):
+    """Per degree, the separation set from dense indicators moved one step at a time."""
+    size = len(perm)
+    found = {n: set() for n in degrees}
+    for q in range(view.sub.piece_count):
+        h = tuple(Fraction(int(view.embed[p] == q)) for p in range(size))
+        for sign in (1, -1):
+            moved = h
+            for k in range(max(abs(n) for n in degrees) + 1):
+                if sign * k in found:
+                    found[sign * k].update(p for p in range(size) if h[p] != moved[p])
+                moved = _step(moved, perm, sign)
+    return found
+
+
+def test_sparse_oracle_equals_a_dense_literal_oracle():
+    rng = random.Random(1811)
+    degrees = range(-12, 13)
+    for _ in range(200):
+        inst = random_instance(rng)
+        views = [SubalgebraView.identity(inst.refinement.refined)]
+        if inst.refined:
+            views.append(SubalgebraView.of_refinement(inst.refinement))
+        pm = inst.refined_map
+        for view in views:
+            dense = _dense_literal_sep(view, pm.perm, degrees)
+            for n in degrees:
+                assert brute_force_sep(view, pm, n) == dense[n] == sep_set(view, pm, n)
+
+
 def test_transport_memo_reuses_residues_and_stays_out_of_copies(monkeypatch):
     calls = []
     real = crossed.perm_power
@@ -276,6 +309,80 @@ def test_indicator_rejects_pieces_outside_the_partition():
     for bad in (-1, 3):
         with pytest.raises(ValueError):
             CoefficientVector.indicator(3, (0, bad))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", -1, 3])
+def test_indicator_refuses_piece_ids_that_are_not_int(bad):
+    with pytest.raises(ValueError, match=re.escape(f"piece {bad!r} is not among the 3 pieces")):
+        CoefficientVector.indicator(3, [bad])
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0, True, "3", Fraction(2)])
+def test_crossed_element_refuses_degrees_that_are_not_int(degree):
+    message = re.escape(f"degree {degree!r} is not an int")
+    for build in (
+        lambda: crossed_element({degree: [1, 0]}),
+        lambda: monomial([1, 0], degree),
+        lambda: indicator_element(2, (0,), degree),
+    ):
+        with pytest.raises(TypeError, match=message):
+            build()
+
+
+def test_cancellation_stores_no_zero():
+    a = CoefficientVector(("1/2", 0, -3, 0))
+    disjoint = CoefficientVector((0, 7, 0, "2/5"))
+    for vec in (a + a.scale(-1), a - a, a.scale(0), a * disjoint, (a + disjoint) - disjoint - a):
+        assert vec.is_zero() and vec.support() == frozenset() and vec.entries == {}
+        assert vec.values == (0, 0, 0, 0)
+        assert crossed_element({1: vec, 2: a}).degrees() == (2,)
+    assert (a + disjoint - a).entries == disjoint.entries
+
+
+def test_equal_vectors_built_two_ways_are_equal_and_hash_alike():
+    a, b = CoefficientVector((0, 1, 0, "1/2")), CoefficientVector.indicator(4, (3, 1))
+    pairs = [
+        (a, b.scale("1/2") + CoefficientVector.indicator(4, (1,)).scale("1/2")),
+        (a + b, b + a),
+        (b, CoefficientVector((0, 1, 0, 1))),
+        (a * b, CoefficientVector.indicator(4, (1,)) + CoefficientVector((0, 0, 0, "1/2"))),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        ex, ey = crossed_element({-1: x, 2: b}), crossed_element({2: b, -1: y})
+        assert ex == ey and hash(ex) == hash(ey)
+    assert a != b and CoefficientVector((1, 0)) != CoefficientVector((1, 0, 0))
+
+
+def test_vectors_keep_value_semantics_through_copies():
+    a = CoefficientVector(("1/2", 0, -3))
+    for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+        assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+        assert twin.values == a.values and len(twin) == 3
+    assert "size=3" in repr(a) and "Fraction(-3, 1)" in repr(a)
+
+
+def test_values_is_a_dense_tuple_of_fractions():
+    vectors = (CoefficientVector((0, "1/2", 0)), CoefficientVector.indicator(5, (4, 0)), CoefficientVector(()))
+    for vec in vectors:
+        assert type(vec.values) is tuple and len(vec.values) == vec.size == len(vec)
+        assert all(type(v) is Fraction for v in vec.values)
+        assert {i for i, v in enumerate(vec.values) if v} == vec.support()
+
+
+def test_operations_cost_the_support_not_the_size():
+    size = 10**6  # a dense tuple of this many entries alone takes 8 MB
+    tracemalloc.start()
+    try:
+        a = CoefficientVector.indicator(size, (17,)).scale("3/2")
+        b = CoefficientVector.indicator(size, (size - 1,))
+        results = [a * b, a + b, a - b, b - a, a.scale(-2), a * a]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [len(r.entries) for r in results] == [0, 2, 2, 2, 1, 1]
+    assert results[3].entries == {17: Fraction(-3, 2), size - 1: Fraction(1)}
 
 
 def test_twisted_product_of_indicators():

@@ -444,6 +444,18 @@ def test_one_orbit_table_has_a_row_per_pair_of_cycle_types(p):
         assert sorted(l for (_, l), size in sizes for _ in range(size // l)) == types
 
 
+def test_minimal_permutation_of_each_cycle_type_is_the_rotation_rule():
+    from crossed_commutant.enumeration import _minimal_perm
+
+    for size in range(9):
+        first = {}  # the first permutation of each cycle type, in lexicographic order
+        for perm in permutations(range(size)):
+            first.setdefault(tuple(sorted(map(len, perm_cycles(perm)), reverse=True)), perm)
+        assert sorted(first) == sorted(integer_partitions(size))
+        for cycle_type, perm in first.items():
+            assert _minimal_perm(cycle_type) == perm
+
+
 # (points, base_n) of every census in the benchmark's atlas workload
 ATLAS_CENSUSES = [(2, None), (2, 2), (1, 3), (3, None), (2, 3), (3, 2), (3, 3), (4, None)]
 
