@@ -15,8 +15,8 @@ from crossed_commutant import (
     CrossedElement,
     PieceMap,
     SubalgebraView,
-    build_abstract_partition,
     brute_force_sep,
+    build_abstract_partition,
     build_real_line_partition,
     commutant_description,
     crossed_element,
