@@ -7,6 +7,8 @@ cycle classes, separation sets, intensional commutant descriptions,
 refinement comparisons, strong-grading certificates, and exhaustive case
 atlases, all in exact rational arithmetic.
 """
+from types import ModuleType as _ModuleType
+
 from .commutant import (
     CommutantDescription,
     DifferenceDescription,
@@ -95,82 +97,7 @@ from .selftest import run_selftest
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbstractPartition",
-    "CaseGroup",
-    "CaseSignature",
-    "CoefficientVector",
-    "CommutantDescription",
-    "CrossedElement",
-    "CycleClassification",
-    "DifferenceDescription",
-    "EngineError",
-    "GradingResult",
-    "InfeasibleProfile",
-    "Instance",
-    "InstanceFormatError",
-    "LiftInconsistent",
-    "MapDoesNotDescend",
-    "MembershipResult",
-    "PartitionMismatch",
-    "Piece",
-    "PieceKind",
-    "PieceMap",
-    "PiProfile",
-    "RealLinePartition",
-    "RefinedCycleClassification",
-    "Refinement",
-    "ScaleExceeded",
-    "SubalgebraView",
-    "SubcaseDiagnostic",
-    "ValidationReport",
-    "Violation",
-    "as_fraction",
-    "atlas_instances",
-    "brute_force_sep",
-    "build_abstract_partition",
-    "build_real_line_partition",
-    "builtin_instance",
-    "builtin_names",
-    "c1_subcase_count",
-    "c1_subcase_diagnostic",
-    "case_signature",
-    "check_pi",
-    "classify_cases",
-    "commutant_description",
-    "commutant_difference",
-    "count_refined_maps",
-    "crossed_element",
-    "cycle_classes",
-    "descend_map",
-    "enumerate_refined_maps",
-    "evenly_spaced_inside",
-    "find_noncommuting_witness",
-    "generator_element",
-    "identity_refinement",
-    "indicator_element",
-    "integer_partition_count",
-    "integer_partitions",
-    "is_in_commutant",
-    "is_strongly_graded",
-    "load_instance",
-    "monomial",
-    "multiply",
-    "parse_instance",
-    "perm_cycles",
-    "perm_inverse",
-    "perm_power",
-    "pi_profile",
-    "rational_rank",
-    "realize_pi",
-    "refine_abstract",
-    "refine_real_line",
-    "refined_cycle_classes",
-    "refined_sep",
-    "render_instance",
-    "run_selftest",
-    "sep_set",
-    "sigma_tilde_pow",
-    "validate_invariance",
-    "validate_refined_invariance",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from .commutant import (
     DifferenceDescription,
@@ -121,11 +121,12 @@ def _difference_payload(difference: DifferenceDescription, window: int) -> dict[
             f"{k},{l}": sorted(pieces)
             for (k, l), pieces in difference.active_classes().items()
         },
-        "forbidden": {
-            str(n): sorted(difference.forbidden_at(n))
-            for n in range(-window, window + 1)
-        },
+        "forbidden": _degree_table(difference.forbidden_at, window),
     }
+
+
+def _degree_table(table: Callable[[int], frozenset[int]], window: int) -> dict[str, list[int]]:
+    return {str(n): sorted(table(n)) for n in range(-window, window + 1)}
 
 
 def _report_payload(instance: Instance) -> dict[str, Any]:
@@ -146,8 +147,8 @@ def _report_payload(instance: Instance) -> dict[str, Any]:
         "labels": [partition.label_of(p) for p in range(partition.piece_count)],
         "window": window,
         "classes": {str(k): sorted(v) for k, v in sorted(description.class_pieces.items())},
-        "sep": {str(n): sorted(description.sep(n)) for n in range(-window, window + 1)},
-        "allowed": {str(n): sorted(description.allowed(n)) for n in range(-window, window + 1)},
+        "sep": _degree_table(description.sep, window),
+        "allowed": _degree_table(description.allowed, window),
         "rule": description.rule_text(),
         "coarse_classes": None,
         "tilde_classes": None,
@@ -162,7 +163,7 @@ def _report_payload(instance: Instance) -> dict[str, Any]:
         payload["tilde_classes"] = {
             f"{k},{l}": sorted(v) for (k, l), v in sorted(difference.tilde_classes.items())
         }
-        payload["coarse_sep"] = {str(n): sorted(coarse.sep(n)) for n in range(-window, window + 1)}
+        payload["coarse_sep"] = _degree_table(coarse.sep, window)
         payload["difference"] = _difference_payload(difference, window)
     grading = is_strongly_graded(description, instance.refined_map)
     payload["grading"] = {

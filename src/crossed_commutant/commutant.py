@@ -129,13 +129,21 @@ def brute_force_sep(view: SubalgebraView, piece_map: PieceMap, n: int) -> frozen
     of the action, and records every fine piece where some generator and its
     transport disagree; both vanish off their supports, so only the union of
     the supports is compared.  Spanning arguments make generators sufficient.
-    No cycle or divisibility reasoning is used; this is the oracle.
+    No cycle or divisibility reasoning is used; this is the oracle.  The
+    generators are built once per (view, map), after the map passes the same
+    descent check as ``sep_set``; they are transported afresh on every call.
     """
-    descend_map(view, piece_map)  # same preconditions as sep_set
-    size = view.ambient.piece_count
+    key = ("oracle", id(piece_map))
+    cached = view._memo.get(key)
+    if cached is None:
+        descend_map(view, piece_map)  # same preconditions as sep_set
+        size = view.ambient.piece_count
+        generators = [CoefficientVector.indicator(size, view.preimage(q))
+                      for q in range(view.sub.piece_count)]
+        # holding the map keeps its id from reuse
+        cached = view._memo[key] = (piece_map, generators)
     separated: set[int] = set()
-    for q in range(view.sub.piece_count):
-        h = CoefficientVector.indicator(size, view.preimage(q))
+    for h in cached[1]:
         a, b = h.entries, sigma_tilde_pow(h, piece_map, n).entries
         if a != b:
             separated.update(p for p in a.keys() | b.keys() if a.get(p, 0) != b.get(p, 0))
@@ -186,9 +194,8 @@ def commutant_description(view: SubalgebraView, piece_map: PieceMap) -> Commutan
 
     A map on another partition, or one that does not descend, raises on every call.
     """
-    if piece_map.partition != view.ambient:
-        raise PartitionMismatch("map does not act on the view's fine partition")
-    # id(map) -> (map, description); holding the map keeps its id from reuse
+    # id(map) -> (map, description); holding the map keeps its id from reuse.  A
+    # held map passed descend_map, which refuses a map on another partition.
     cached = view._memo.get(id(piece_map))
     if cached is not None:
         return cached[1]

@@ -116,7 +116,9 @@ class CoefficientVector:
 def _vector(size: int, entries: dict[int, Fraction]) -> CoefficientVector:
     # trusted constructor for nonzero Fraction entries on pieces below size: no re-check
     vec = object.__new__(CoefficientVector)
-    vec.__dict__.update(size=size, entries=entries)
+    fields = vec.__dict__
+    fields["size"] = size
+    fields["entries"] = entries
     return vec
 
 
@@ -162,7 +164,7 @@ class CrossedElement:
         return self + other.scale(-1)
 
     def scale(self, c: RationalLike) -> "CrossedElement":
-        return crossed_element({n: vec.scale(c) for n, vec in self.terms})
+        return _element({n: vec.scale(c) for n, vec in self.terms})
 
     def to_json(self) -> dict:
         return {"terms": {str(n): [str(v) for v in vec.values] for n, vec in self.terms}}
@@ -211,6 +213,11 @@ def crossed_element(terms: Mapping[int, VectorLike]) -> CrossedElement:
     return CrossedElement(tuple(pruned))
 
 
+def _element(terms: dict[int, CoefficientVector]) -> CrossedElement:
+    # trusted constructor for int degrees and vectors of one size: prune and sort only
+    return CrossedElement(tuple(sorted((n, v) for n, v in terms.items() if v.entries)))
+
+
 def monomial(vec: VectorLike, degree: int) -> CrossedElement:
     return crossed_element({degree: vec})
 
@@ -227,7 +234,7 @@ def sigma_tilde_pow(f: CoefficientVector, piece_map: PieceMap, n: int) -> Coeffi
     cost is the support.  The power depends on n mod L only and is memoised
     on the map, one entry per residue asked for.
     """
-    if f.size != piece_map.size:
+    if f.size != len(piece_map.perm):
         raise PartitionMismatch(
             f"vector of length {f.size} on a partition with {piece_map.size} pieces"
         )
@@ -256,7 +263,7 @@ def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> Cross
                 continue
             d = n + m
             acc[d] = acc[d] + contrib if d in acc else contrib
-    return crossed_element(acc)
+    return _element(acc)
 
 
 # ---------------------------------------------------------------------------

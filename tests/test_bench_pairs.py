@@ -3,6 +3,7 @@ import importlib.util
 import json
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -141,3 +142,31 @@ def test_run_once_compiles_in_an_empty_bytecode_cache_of_its_own(monkeypatch, tm
     assert not cache.exists()  # removed after the run
     # the rest of the caller's environment passes through
     assert env["BENCH_PAIRS_PROBE"] == "kept"
+
+
+def test_run_once_records_its_wall_seconds(monkeypatch, tmp_path):
+    clock = iter([10.0, 12.5])
+    monkeypatch.setattr(bench_pairs, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    monkeypatch.setattr(
+        bench_pairs.subprocess, "run",
+        lambda argv, **kwargs: subprocess.CompletedProcess(argv, 0, canned(61, 1.0, 1.0), ""),
+    )
+    run = bench_pairs.run_once(tmp_path, "atlas", 61, 1.0)
+    assert run["wall_s"] == 2.5
+    assert {k: v for k, v in run.items() if k != "wall_s"} == bench_pairs.parse_result(canned(61, 1.0, 1.0))
+
+
+def test_workload_entry_records_wall_seconds_per_run_and_their_median():
+    def timed(values, walls):
+        return [{**run, "wall_s": wall} for run, wall in zip(runs(values), walls)]
+
+    parent, change = timed([(1, 1)] * 3, [22.0, 21.5, 24.0]), timed([(2, 1)] * 3, [22.5, 21.0, 21.25])
+    entry = bench_pairs.workload_entry(parent, change, DECLARED, 20.0, ["parent", "change", "parent"])
+    assert entry["wall_s"] == {
+        "parent": {"runs": [22.0, 21.5, 24.0], "median": 22.0},
+        "change": {"runs": [22.5, 21.0, 21.25], "median": 21.25},
+    }
+    # runs read back from canned lines alone carry no wall time
+    untimed = bench_pairs.workload_entry(runs([(1, 1)] * 2), runs([(1, 1)] * 2), DECLARED, 20.0,
+                                         ["parent", "change"])
+    assert untimed["wall_s"]["parent"] == {"runs": [], "median": None}

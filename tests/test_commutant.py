@@ -1,7 +1,9 @@
 """Subalgebra views, separation sets, and commutant descriptions."""
 import copy
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -276,6 +278,64 @@ def test_warm_cache_still_refuses_foreign_and_torn_maps():
             sep_set(other_view, rm, 1)
     assert list(view._memo.values()) == [(rm, description)]
     assert list(other_view._memo.values()) == [(swap, commutant_description(other_view, swap))]
+
+
+def test_oracle_builds_its_generators_once_per_view_and_map(monkeypatch):
+    import crossed_commutant.commutant as commutant
+
+    descents, builds, transports = [], [], []
+    real_descend, real_transport = commutant.descend_map, commutant.sigma_tilde_pow
+    real_indicator = commutant.CoefficientVector.indicator
+    monkeypatch.setattr(commutant, "descend_map", lambda view, pm: descents.append(1) or real_descend(view, pm))
+    monkeypatch.setattr(
+        commutant, "sigma_tilde_pow", lambda h, pm, n: transports.append(1) or real_transport(h, pm, n)
+    )
+    monkeypatch.setattr(
+        commutant.CoefficientVector, "indicator",
+        classmethod(lambda cls, size, pieces: builds.append(1) or real_indicator(size, pieces)),
+    )
+    rng = random.Random(41)
+    draws = [random_instance(rng) for _ in range(80)]
+    assert {inst.refined for inst in draws} == {True, False}
+    degrees = range(-12, 13)
+    for view, pm in [(view, inst.refined_map) for inst in draws for view in _views_of(inst)]:
+        descents.clear()
+        builds.clear()
+        seps = []
+        for n in degrees:
+            transports.clear()
+            seps.append(brute_force_sep(view, pm, n))
+            assert len(transports) == view.sub.piece_count  # every generator, on every call
+        assert len(descents) == 1 and len(builds) == view.sub.piece_count
+        assert seps == [sep_set(view, pm, n) for n in degrees], pm.perm
+
+
+def test_warm_oracle_still_refuses_foreign_and_torn_maps():
+    ref, bm, rm = crossed_fixture()
+    view = SubalgebraView.of_refinement(ref)
+    want = [brute_force_sep(view, rm, n) for n in range(-3, 4)]
+    torn = PieceMap(ref.refined, (0, 2, 1, 3, 4, 5, 6))
+    other = build_real_line_partition(["0", "1", "2"])
+    foreign = PieceMap(other, tuple(range(other.piece_count)))  # as many pieces as rm's partition
+    assert foreign.size == rm.size
+    for _ in range(3):
+        with pytest.raises(MapDoesNotDescend):
+            brute_force_sep(view, torn, 1)
+        with pytest.raises(PartitionMismatch):
+            brute_force_sep(view, foreign, 1)
+    assert [entry[0] for entry in view._memo.values()] == [rm]
+    assert [brute_force_sep(view, rm, n) for n in range(-3, 4)] == want
+
+
+def test_oracle_memo_holds_its_map():
+    ref, _, _ = crossed_fixture()
+    view = SubalgebraView.of_refinement(ref)
+    pm = PieceMap(ref.refined, (2, 3, 1, 0, 6, 5, 4))
+    held = weakref.ref(pm)
+    brute_force_sep(view, pm, 1)
+    del pm
+    gc.collect()
+    assert held() is not None  # so no later map can take over its id
 
 
 def test_cached_tables_stay_out_of_copies():

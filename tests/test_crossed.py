@@ -439,6 +439,58 @@ def test_associativity_seeded():
         assert multiply(multiply(f, g, pm), h, pm) == multiply(f, multiply(g, h, pm), pm)
 
 
+def _assert_normal_form(elem, size):
+    degrees = elem.degrees()
+    assert list(degrees) == sorted(set(degrees))
+    assert all(type(n) is int and vec.size == size and vec.entries for n, vec in elem.terms)
+
+
+def test_trusted_products_and_scales_equal_the_checked_constructor():
+    rng = random.Random(3301)
+    cancelled = 0
+    for i, pm in enumerate(_seeded_maps(300, seed=3301)):
+        size = pm.size
+
+        def element():
+            degrees = rng.sample(range(-3, 4), rng.randint(0, 3))
+            return crossed_element({n: _sparse_values(rng, size) for n in degrees})
+
+        f, g = element(), element()
+        if i % 3 == 0:
+            # the degree-1 contributions a*c and sigma(d) cancel: f = a + t, g = c*t + d
+            a, c = CoefficientVector(_sparse_values(rng, size)), CoefficientVector(_sparse_values(rng, size))
+            d = sigma_tilde_pow((a * c).scale(-1), pm, -1)
+            f = crossed_element({0: a, 1: CoefficientVector.indicator(size, range(size))})
+            g = crossed_element({1: c, 0: d})
+        acc = {}
+        for n, fn in f.terms:
+            for m, gm in g.terms:
+                row = acc.setdefault(n + m, [Fraction(0)] * size)
+                for p, (x, y) in enumerate(zip(fn.values, sigma_tilde_pow(gm, pm, n).values)):
+                    row[p] += x * y
+        cancelled += any(not any(row) for row in acc.values())
+        product = multiply(f, g, pm)
+        assert product == crossed_element(acc)
+        _assert_normal_form(product, size)
+        for c in (0, -1, Fraction(2, 3)):
+            scaled = f.scale(c)
+            assert scaled == crossed_element({n: [c * v for v in vec.values] for n, vec in f.terms})
+            _assert_normal_form(scaled, size)
+    assert cancelled >= 100
+
+
+def test_public_element_paths_still_check_sizes():
+    part, pm = swap_map()
+    small, wide = monomial([1, 2], 0), monomial([1, 2, 3, 4, 5], 1)
+    for f, g in ((small, wide), (wide, small), (small, small)):
+        with pytest.raises(PartitionMismatch):
+            multiply(f, g, pm)
+    # disjoint degrees never meet in a vector sum, so only the element check sees the sizes
+    for f, g in ((small, wide), (wide, small)):
+        with pytest.raises(PartitionMismatch):
+            f + g
+
+
 def test_rational_rank_exact():
     assert rational_rank([]) == 0
     assert rational_rank([[Fraction(0), Fraction(0)]]) == 0

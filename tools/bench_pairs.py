@@ -18,7 +18,9 @@ The output file records the machine, the interpreter and both revisions,
 and per workload and end-to-end metric each side's median, quartiles, run
 count and seeds, the number of pairs the change won, and whether a gain
 holds: the change wins at least nine pairs in ten and its median is better
-than the parent's by more than the parent's interquartile range.  A metric
+than the parent's by more than the parent's interquartile range.  It also
+records each run's wall seconds, the whole subprocess from start to exit,
+and their median per side, so the cost of a measurement can be read ahead.  A metric
 is within its bound unless the change's median is worse than the parent's by
 more than the metric's relative ``bound`` in ``BENCHMARK.json``.  Each
 workload is its own entry; an existing file measured on the same two
@@ -36,6 +38,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,6 +101,12 @@ def compare(parent_runs: list[dict], change_runs: list[dict], declared: list[dic
     return out
 
 
+def wall_summary(runs: list[dict]) -> dict:
+    """Each timed run's wall seconds, in pair order, and their median (None if untimed)."""
+    walls = [run["wall_s"] for run in runs if "wall_s" in run]
+    return {"runs": walls, "median": statistics.median(walls) if walls else None}
+
+
 def workload_entry(parent_runs: list[dict], change_runs: list[dict], declared: list[dict],
                    seconds: float, first: list[str]) -> dict:
     return {
@@ -108,6 +117,7 @@ def workload_entry(parent_runs: list[dict], change_runs: list[dict], declared: l
                       "change": sum(r["attempted"] for r in change_runs)},
         "failed": {"parent": sum(r["failed"] for r in parent_runs),
                    "change": sum(r["failed"] for r in change_runs)},
+        "wall_s": {"parent": wall_summary(parent_runs), "change": wall_summary(change_runs)},
         "metrics": compare(parent_runs, change_runs, declared),
     }
 
@@ -161,21 +171,23 @@ def checkout(spec: str, workdir: Path, label: str) -> tuple[Path, str | None]:
 
 
 def run_once(directory: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One run in ``directory``, compiling its sources afresh.
+    """One run in ``directory``, compiling its sources afresh, with its wall seconds.
 
     Each run reads bytecode from its own empty cache and writes none, so a
     checkout with a leftover ``__pycache__`` starts no faster than a fresh one.
     """
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
         env = {**os.environ, "PYTHONPYCACHEPREFIX": cache, "PYTHONDONTWRITEBYTECODE": "1"}
+        start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
              "--seconds", str(seconds), "--trace", "0"],
             cwd=directory, env=env, capture_output=True, text=True,
         )
+        wall = time.perf_counter() - start
     if done.returncode != 0:
         raise SystemExit(f"run in {directory} (seed {seed}) exited {done.returncode}:\n{done.stderr}")
-    return parse_result(done.stdout)
+    return {**parse_result(done.stdout), "wall_s": wall}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -217,7 +229,8 @@ def main(argv: list[str] | None = None) -> int:
                 run = run_once(sides[label][0], args.workload, args.seed + i, args.seconds)
                 runs[label].append(run)
                 print(f"pair {i + 1}/{args.pairs} {label}: "
-                      f"items_per_s {run['metrics'].get('items_per_s')}", file=sys.stderr)
+                      f"items_per_s {run['metrics'].get('items_per_s')}, "
+                      f"wall {run['wall_s']:.1f} s", file=sys.stderr)
     document["workloads"][args.workload] = workload_entry(
         runs["parent"], runs["change"], declared, args.seconds, first
     )
