@@ -18,11 +18,11 @@ The output file records the machine, the interpreter and both revisions,
 and per workload and end-to-end metric each side's median, quartiles, run
 count and seeds, the number of pairs the change won, and whether a gain
 holds: the change wins at least nine pairs in ten and its median is better
-than the parent's by more than the parent's interquartile range.  It also
-records each run's wall seconds, the whole subprocess from start to exit,
-and their median per side, so the cost of a measurement can be read ahead.  A metric
+than the parent's by more than the parent's interquartile range.  A metric
 is within its bound unless the change's median is worse than the parent's by
-more than the metric's relative ``bound`` in ``BENCHMARK.json``.  Each
+more than the metric's relative ``bound`` in ``BENCHMARK.json``.  Each run's
+wall seconds, the whole subprocess from start to exit, are recorded with
+their median per side, so the cost of a measurement can be read ahead.  Each
 workload is its own entry; an existing file measured on the same two
 revisions, interpreter and machine keeps its other workloads.
 """
