@@ -127,8 +127,8 @@ def brute_force_sep(view: SubalgebraView, piece_map: PieceMap, n: int) -> frozen
 
     Walks the coarse indicator generators, transports each by the n-th power
     of the action, and records every fine piece where some generator and its
-    transport disagree; both vanish off their supports, so only the union of
-    the supports is compared.  Spanning arguments make generators sufficient.
+    transport disagree: both are indicators, so that is the symmetric
+    difference of their supports.  Spanning arguments make generators sufficient.
     No cycle or divisibility reasoning is used; this is the oracle.  The
     generators are built once per (view, map), after the map passes the same
     descent check as ``sep_set``; they are transported afresh on every call.
@@ -144,9 +144,7 @@ def brute_force_sep(view: SubalgebraView, piece_map: PieceMap, n: int) -> frozen
         cached = view._memo[key] = (piece_map, generators)
     separated: set[int] = set()
     for h in cached[1]:
-        a, b = h.entries, sigma_tilde_pow(h, piece_map, n).entries
-        if a != b:
-            separated.update(p for p in a.keys() | b.keys() if a.get(p, 0) != b.get(p, 0))
+        separated.update(h.entries.keys() ^ sigma_tilde_pow(h, piece_map, n).entries.keys())
     return frozenset(separated)
 
 

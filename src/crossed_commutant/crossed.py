@@ -223,7 +223,18 @@ def monomial(vec: VectorLike, degree: int) -> CrossedElement:
 
 
 def indicator_element(size: int, pieces: Iterable[int], degree: int = 0) -> CrossedElement:
-    return monomial(CoefficientVector.indicator(size, pieces), degree)
+    if type(degree) is not int:
+        raise TypeError(f"degree {degree!r} is not an int")
+    return _element({degree: CoefficientVector.indicator(size, pieces)})
+
+
+def _power(piece_map: PieceMap, n: int) -> tuple[int, ...]:
+    """The n-th power of the map, memoised on it by n mod L, one entry per residue."""
+    key = n % piece_map.period
+    forward = piece_map._memo.get(key)
+    if forward is None:
+        forward = piece_map._memo[key] = perm_power(piece_map.perm, key)
+    return forward
 
 
 def sigma_tilde_pow(f: CoefficientVector, piece_map: PieceMap, n: int) -> CoefficientVector:
@@ -238,11 +249,7 @@ def sigma_tilde_pow(f: CoefficientVector, piece_map: PieceMap, n: int) -> Coeffi
         raise PartitionMismatch(
             f"vector of length {f.size} on a partition with {piece_map.size} pieces"
         )
-    key = n % piece_map.period
-    memo = piece_map._memo
-    forward = memo.get(key)
-    if forward is None:
-        forward = memo[key] = perm_power(piece_map.perm, key)
+    forward = piece_map._memo.get(n % piece_map.period) or _power(piece_map, n)
     return _vector(f.size, {forward[i]: v for i, v in f.entries.items()})
 
 
@@ -250,20 +257,26 @@ def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> Cross
     """Twisted convolution: term (n, m) contributes at degree n + m.
 
     The right coefficient is transported by the n-th power of the action
-    before the pointwise product with the left coefficient.
+    before the pointwise product with the left coefficient, all in one pass
+    over its entries; the size check is the only guard against a foreign factor.
     """
     for elem in (f, g):
         if elem.size is not None and elem.size != piece_map.size:
             raise PartitionMismatch("element does not live on the map's partition")
-    acc: dict[int, CoefficientVector] = {}
+    acc: dict[int, dict[int, Fraction]] = {}
     for n, fn in f.terms:
+        forward, left = _power(piece_map, n), fn.entries
         for m, gm in g.terms:
-            contrib = fn * sigma_tilde_pow(gm, piece_map, n)
-            if contrib.is_zero():
-                continue
-            d = n + m
-            acc[d] = acc[d] + contrib if d in acc else contrib
-    return _element(acc)
+            out = acc.setdefault(n + m, {})
+            for i, v in gm.entries.items():
+                j = forward[i]
+                if j in left:
+                    w = left[j] * v + out[j] if j in out else left[j] * v
+                    if w:
+                        out[j] = w
+                    else:
+                        del out[j]  # a sum that cancels
+    return _element({d: _vector(len(piece_map.perm), e) for d, e in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +285,7 @@ def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> Cross
 
 def rational_rank(rows: Iterable[Sequence[Fraction]]) -> int:
     """Rank over the rationals by fraction-exact Gaussian elimination."""
-    work = [list(r) for r in rows if any(v != 0 for v in r)]
+    work = [list(r) for r in rows if any(r)]
     if not work:
         return 0
     width = len(work[0])
@@ -286,13 +299,13 @@ def rational_rank(rows: Iterable[Sequence[Fraction]]) -> int:
         row = work.pop(pivot_row)
         pivot = row[col]
         rank += 1
-        reduced = [v / pivot for v in row]
+        reduced = row if pivot == 1 else [v / pivot for v in row]
         remaining = []
         for r in work:
             if r[col] != 0:
                 factor = r[col]
                 r = [a - factor * b for a, b in zip(r, reduced)]
-            if any(v != 0 for v in r):
+            if any(r):
                 remaining.append(r)
         work = remaining
         col += 1

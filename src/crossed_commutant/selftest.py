@@ -158,10 +158,14 @@ def _views(instance: Instance) -> list[SubalgebraView]:
     return views
 
 
+# the small fractions p/q the random draws use, built once
+_SMALL = {(p, q): Fraction(p, q) for p in range(-2, 3) for q in range(1, 4)}
+
+
 def _random_vector(rng: random.Random, size: int) -> CoefficientVector:
     return CoefficientVector(
         tuple(
-            Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.7 else Fraction(0)
+            _SMALL[rng.randint(-2, 2), rng.randint(1, 3)] if rng.random() < 0.7 else _SMALL[0, 1]
             for _ in range(size)
         )
     )
@@ -273,10 +277,10 @@ def _random_member(rng: random.Random, description):
         allowed = sorted(description.allowed(n))
         if not allowed:
             continue
-        values = [Fraction(0)] * description.piece_count
+        values = [_SMALL[0, 1]] * description.piece_count
         for p in allowed:
             if rng.random() < 0.7:
-                values[p] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                values[p] = _SMALL[rng.randint(-2, 2), rng.randint(1, 2)]
         terms[n] = values
     return crossed_element(terms)
 

@@ -170,3 +170,31 @@ def test_workload_entry_records_wall_seconds_per_run_and_their_median():
     untimed = bench_pairs.workload_entry(runs([(1, 1)] * 2), runs([(1, 1)] * 2), DECLARED, 20.0,
                                          ["parent", "change"])
     assert untimed["wall_s"]["parent"] == {"runs": [], "median": None}
+
+
+def test_the_output_file_keeps_every_completed_pair_when_a_run_fails(monkeypatch, tmp_path):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": DECLARED}))
+    monkeypatch.setattr(bench_pairs, "checkout", lambda spec, workdir, label: (change, label))
+    done = []
+
+    def fake_run(directory, workload, seed, seconds):
+        if len(done) == 4:
+            raise RuntimeError("cut after two pairs")
+        done.append(seed)
+        return {**bench_pairs.parse_result(canned(seed, 100.0 + len(done), 1.0)), "wall_s": 1.5}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "out.json"
+    with pytest.raises(RuntimeError):
+        bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "atlas",
+                          "--pairs", "5", "--seed", "61", "--out", str(out)])
+    assert done == [61, 61, 62, 62]
+    entry = json.loads(out.read_text())["workloads"]["atlas"]
+    assert entry["pairs"] == 2 and entry["first"] == ["parent", "change"]
+    ips = entry["metrics"]["items_per_s"]
+    assert ips["parent"]["seeds"] == ips["change"]["seeds"] == [61, 62]
+    # pair 1 ran the parent first (101 vs 102), pair 2 the change first (103 vs 104)
+    assert ips["parent"]["median"] == (101 + 104) / 2 and ips["change"]["median"] == (102 + 103) / 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["change", "out.json"]

@@ -491,6 +491,119 @@ def test_public_element_paths_still_check_sizes():
             f + g
 
 
+def test_products_and_transports_share_one_power_per_map_and_residue(monkeypatch):
+    calls = []
+    real = crossed.perm_power
+    monkeypatch.setattr(crossed, "perm_power", lambda perm, n: calls.append((id(perm), n)) or real(perm, n))
+    rng = random.Random(2411)
+    maps = list(_seeded_maps(120, seed=2411))
+    for pm in maps:
+        size, asked = pm.size, set()
+
+        def element():
+            degrees = rng.sample(range(-9, 10), rng.randint(0, 3))
+            return crossed_element({n: _sparse_values(rng, size) for n in degrees})
+
+        for _ in range(4):
+            f, g, n = element(), element(), rng.randint(-9, 9)
+            product = multiply(f, g, pm)
+            _assert_normal_form(product, size)
+            sigma_tilde_pow(CoefficientVector(_sparse_values(rng, size)), pm, n)
+            asked |= {d % pm.period for d in (*f.degrees(), n)}
+        assert sorted(k for i, k in calls if i == id(pm.perm)) == sorted(asked)
+    assert len(calls) == len(set(calls))
+    # a zero factor gives the zero element, on either side
+    part, pm = swap_map()
+    zero, f = crossed_element({}), monomial([1, 2, 0, 0, 3], 2)
+    assert multiply(zero, f, pm) == multiply(f, zero, pm) == multiply(zero, zero, pm) == zero
+    # f = a*e_p + a*e_p t and g = b*e_r - b*e_p t, with r -> p and p moved: degree 1
+    # cancels, and degrees 0 and 2 have disjoint supports, so every degree is zero
+    cancelled = 0
+    for pm in maps:
+        moved = [p for p in range(pm.size) if pm.perm[p] != p]
+        if not moved:
+            continue
+        p = rng.choice(moved)
+        r = pm.perm.index(p)
+        a, b = (Fraction(rng.choice((-3, -1, 2)), rng.randint(1, 4)) for _ in range(2))
+        f = crossed_element({0: CoefficientVector.indicator(pm.size, [p]).scale(a),
+                             1: CoefficientVector.indicator(pm.size, [p]).scale(a)})
+        g = crossed_element({0: CoefficientVector.indicator(pm.size, [r]).scale(b),
+                             1: CoefficientVector.indicator(pm.size, [p]).scale(-b)})
+        product = multiply(f, g, pm)
+        assert product.is_zero() and product == zero
+        cancelled += 1
+    assert cancelled >= 80
+
+
+def test_indicator_element_checks_its_degree_and_pieces():
+    for degree in (True, 1.0, "1", None, Fraction(1)):
+        with pytest.raises(TypeError):
+            indicator_element(3, [0], degree)
+    for pieces in ([3], [-1], [0, 5], ["0"], [True]):
+        with pytest.raises(ValueError):
+            indicator_element(3, pieces, 1)
+    rng = random.Random(2412)
+    for _ in range(300):
+        size = rng.randint(1, 9)
+        pieces = rng.sample(range(size), rng.randint(0, size))
+        degree = rng.randint(-5, 5)
+        elem = indicator_element(size, pieces, degree)
+        assert elem == crossed_element({degree: CoefficientVector.indicator(size, pieces)})
+        _assert_normal_form(elem, size)
+
+
+def _reference_rank(rows):
+    """The elimination before the unit-pivot and truthiness shortcuts, kept as it was."""
+    work = [list(r) for r in rows if any(v != 0 for v in r)]
+    if not work:
+        return 0
+    width = len(work[0])
+    rank = 0
+    col = 0
+    while work and col < width:
+        pivot_row = next((i for i, r in enumerate(work) if r[col] != 0), None)
+        if pivot_row is None:
+            col += 1
+            continue
+        row = work.pop(pivot_row)
+        pivot = row[col]
+        rank += 1
+        reduced = [v / pivot for v in row]
+        remaining = []
+        for r in work:
+            if r[col] != 0:
+                factor = r[col]
+                r = [a - factor * b for a, b in zip(r, reduced)]
+            if any(v != 0 for v in r):
+                remaining.append(r)
+        work = remaining
+        col += 1
+    return rank
+
+
+def test_rational_rank_equals_the_reference_elimination_on_seeded_matrices():
+    rng = random.Random(2413)
+    units = nonunits = 0
+    for _ in range(400):
+        width = rng.randint(0, 8)
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.random()
+            if kind < 0.15:
+                rows.append([Fraction(0)] * width)
+            elif kind < 0.3 and rows:
+                rows.append(list(rng.choice(rows)))
+            else:
+                rows.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                             if rng.random() < 0.6 else Fraction(0) for _ in range(width)])
+        leads = [next((v for v in r if v), None) for r in rows]
+        units += any(v == 1 for v in leads)
+        nonunits += any(v not in (None, 1) for v in leads)
+        assert rational_rank(rows) == _reference_rank(rows)
+    assert units >= 50 and nonunits >= 200
+
+
 def test_rational_rank_exact():
     assert rational_rank([]) == 0
     assert rational_rank([[Fraction(0), Fraction(0)]]) == 0

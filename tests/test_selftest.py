@@ -2,10 +2,12 @@
 import json
 import random
 import re
+from fractions import Fraction
 
 import crossed_commutant.selftest as selftest
 from crossed_commutant.cli import main
-from crossed_commutant.commutant import SubalgebraView, brute_force_sep
+from crossed_commutant.commutant import SubalgebraView, brute_force_sep, commutant_description
+from crossed_commutant.crossed import CoefficientVector, crossed_element
 from crossed_commutant.instances import parse_instance, render_instance
 from crossed_commutant.selftest import _run_suite, random_instance, suite_sep_oracle
 
@@ -108,3 +110,43 @@ def test_refinement_suite_checks_each_lift_and_view_once(monkeypatch):
     assert result.ok and result.total == 40
     # one coarse and one fine view per instance, one lift check per instance
     assert calls == {"descend_map": 80, "validate_refined_invariance": 40}
+
+
+def _reference_vector(rng, size):
+    """``_random_vector`` before the draw table, kept as it was."""
+    return CoefficientVector(
+        tuple(
+            Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.7 else Fraction(0)
+            for _ in range(size)
+        )
+    )
+
+
+def _reference_member(rng, description):
+    """``_random_member`` before the draw table, kept as it was."""
+    terms = {}
+    for n in rng.sample(range(-6, 7), rng.randint(1, 3)):
+        allowed = sorted(description.allowed(n))
+        if not allowed:
+            continue
+        values = [Fraction(0)] * description.piece_count
+        for p in allowed:
+            if rng.random() < 0.7:
+                values[p] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        terms[n] = values
+    return crossed_element(terms)
+
+
+def test_draw_table_gives_the_values_and_stream_of_the_fraction_formulas():
+    setup = random.Random(2414)
+    for seed in range(150):
+        instance = random_instance(setup)
+        view = selftest._views(instance)[-1]
+        description = commutant_description(view, instance.refined_map)
+        size = instance.refinement.refined.piece_count
+        table, formula = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert selftest._random_vector(table, size) == _reference_vector(formula, size)
+            assert table.getstate() == formula.getstate()
+            assert selftest._random_member(table, description) == _reference_member(formula, description)
+            assert table.getstate() == formula.getstate()

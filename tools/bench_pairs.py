@@ -24,7 +24,9 @@ more than the metric's relative ``bound`` in ``BENCHMARK.json``.  Each run's
 wall seconds, the whole subprocess from start to exit, are recorded with
 their median per side, so the cost of a measurement can be read ahead.  Each
 workload is its own entry; an existing file measured on the same two
-revisions, interpreter and machine keeps its other workloads.
+revisions, interpreter and machine keeps its other workloads.  The file is
+rewritten after every completed pair, so a measurement cut short keeps the
+pairs it finished.
 """
 from __future__ import annotations
 
@@ -231,10 +233,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"pair {i + 1}/{args.pairs} {label}: "
                       f"items_per_s {run['metrics'].get('items_per_s')}, "
                       f"wall {run['wall_s']:.1f} s", file=sys.stderr)
-    document["workloads"][args.workload] = workload_entry(
-        runs["parent"], runs["change"], declared, args.seconds, first
-    )
-    args.out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+            document["workloads"][args.workload] = workload_entry(
+                runs["parent"], runs["change"], declared, args.seconds, first
+            )
+            partial = args.out.with_name(args.out.name + ".partial")
+            partial.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+            partial.replace(args.out)
     return 0
 
 
