@@ -494,7 +494,9 @@ def test_public_element_paths_still_check_sizes():
 def test_products_and_transports_share_one_power_per_map_and_residue(monkeypatch):
     calls = []
     real = crossed.perm_power
-    monkeypatch.setattr(crossed, "perm_power", lambda perm, n: calls.append((id(perm), n)) or real(perm, n))
+    monkeypatch.setattr(
+        crossed, "perm_power", lambda perm, n: calls.append((id(perm), n)) or real(perm, n)
+    )
     rng = random.Random(2411)
     maps = list(_seeded_maps(120, seed=2411))
     for pm in maps:
