@@ -249,7 +249,7 @@ def sigma_tilde_pow(f: CoefficientVector, piece_map: PieceMap, n: int) -> Coeffi
         raise PartitionMismatch(
             f"vector of length {f.size} on a partition with {piece_map.size} pieces"
         )
-    forward = piece_map._memo.get(n % piece_map.period) or _power(piece_map, n)
+    forward = _power(piece_map, n)
     return _vector(f.size, {forward[i]: v for i, v in f.entries.items()})
 
 
@@ -285,7 +285,7 @@ def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> Cross
 
 def rational_rank(rows: Iterable[Sequence[Fraction]]) -> int:
     """Rank over the rationals by fraction-exact Gaussian elimination."""
-    work = [list(r) for r in rows if any(r)]
+    work = [list(r) for r in rows if any(v != 0 for v in r)]
     if not work:
         return 0
     width = len(work[0])
@@ -299,13 +299,13 @@ def rational_rank(rows: Iterable[Sequence[Fraction]]) -> int:
         row = work.pop(pivot_row)
         pivot = row[col]
         rank += 1
-        reduced = row if pivot == 1 else [v / pivot for v in row]
+        reduced = [v / pivot for v in row]
         remaining = []
         for r in work:
             if r[col] != 0:
                 factor = r[col]
                 r = [a - factor * b for a, b in zip(r, reduced)]
-            if any(r):
+            if any(v != 0 for v in r):
                 remaining.append(r)
         work = remaining
         col += 1

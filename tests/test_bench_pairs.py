@@ -177,24 +177,45 @@ def test_the_output_file_keeps_every_completed_pair_when_a_run_fails(monkeypatch
     change.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": DECLARED}))
     monkeypatch.setattr(bench_pairs, "checkout", lambda spec, workdir, label: (change, label))
-    done = []
+    done, cut = [], [None]
 
     def fake_run(directory, workload, seed, seconds):
-        if len(done) == 4:
-            raise RuntimeError("cut after two pairs")
+        if len(done) == cut[0]:
+            raise RuntimeError("cut short")
         done.append(seed)
         return {**bench_pairs.parse_result(canned(seed, 100.0 + len(done), 1.0)), "wall_s": 1.5}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     out = tmp_path / "out.json"
+    partial = tmp_path / "out.json.partial"
+    argv = ["--parent", "p", "--change", "c", "--workload", "atlas", "--seed", "61",
+            "--out", str(out)]
+
+    def entry(path):
+        return json.loads(path.read_text())["workloads"]["atlas"]
+
+    # a run cut after two pairs with no earlier file keeps both pairs in the partial file
+    cut[0] = 4
     with pytest.raises(RuntimeError):
-        bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "atlas",
-                          "--pairs", "5", "--seed", "61", "--out", str(out)])
-    assert done == [61, 61, 62, 62]
-    entry = json.loads(out.read_text())["workloads"]["atlas"]
-    assert entry["pairs"] == 2 and entry["first"] == ["parent", "change"]
-    ips = entry["metrics"]["items_per_s"]
+        bench_pairs.main([*argv, "--pairs", "5"])
+    assert done == [61, 61, 62, 62] and not out.exists()
+    kept = entry(partial)
+    assert kept["pairs"] == 2 and kept["first"] == ["parent", "change"]
+    ips = kept["metrics"]["items_per_s"]
     assert ips["parent"]["seeds"] == ips["change"]["seeds"] == [61, 62]
     # pair 1 ran the parent first (101 vs 102), pair 2 the change first (103 vs 104)
     assert ips["parent"]["median"] == (101 + 104) / 2 and ips["change"]["median"] == (102 + 103) / 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["change", "out.json"]
+
+    # a complete run replaces the file and leaves no partial file behind
+    done.clear()
+    cut[0] = None
+    bench_pairs.main([*argv, "--pairs", "3"])
+    complete = out.read_text()
+    assert json.loads(complete)["workloads"]["atlas"]["pairs"] == 3 and not partial.exists()
+
+    # a later run cut short leaves the complete file as it was
+    done.clear()
+    cut[0] = 2
+    with pytest.raises(RuntimeError):
+        bench_pairs.main([*argv, "--pairs", "3"])
+    assert out.read_text() == complete and entry(partial)["pairs"] == 1

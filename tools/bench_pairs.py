@@ -24,9 +24,10 @@ more than the metric's relative ``bound`` in ``BENCHMARK.json``.  Each run's
 wall seconds, the whole subprocess from start to exit, are recorded with
 their median per side, so the cost of a measurement can be read ahead.  Each
 workload is its own entry; an existing file measured on the same two
-revisions, interpreter and machine keeps its other workloads.  The file is
-rewritten after every completed pair, so a measurement cut short keeps the
-pairs it finished.
+revisions, interpreter and machine keeps its other workloads.  Every
+completed pair is written to ``<out>.partial``, which replaces the file only
+after the last pair: a measurement cut short keeps the pairs it finished
+there and leaves the earlier file as it was.
 """
 from __future__ import annotations
 
@@ -224,6 +225,7 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(f"{args.out} was measured on other revisions or another machine")
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         first = []
+        partial = args.out.with_name(args.out.name + ".partial")
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             first.append(order[0])
@@ -236,9 +238,8 @@ def main(argv: list[str] | None = None) -> int:
             document["workloads"][args.workload] = workload_entry(
                 runs["parent"], runs["change"], declared, args.seconds, first
             )
-            partial = args.out.with_name(args.out.name + ".partial")
             partial.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-            partial.replace(args.out)
+        partial.replace(args.out)
     return 0
 
 
