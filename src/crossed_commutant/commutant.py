@@ -17,7 +17,9 @@ coefficient vanishes on the degree-n separation set; they form the unique
 maximal commutative subalgebra containing A when A separates enough.
 
 ``brute_force_sep`` evaluates the defining condition literally, generator by
-generator, and serves as the independent oracle for ``sep_set``.
+generator, and serves as the independent oracle for ``sep_set``.  It
+transports every generator once per residue of n mod the order of the fine
+permutation and keeps the set found there; no theory of the rule enters.
 """
 from __future__ import annotations
 
@@ -131,7 +133,9 @@ def brute_force_sep(view: SubalgebraView, piece_map: PieceMap, n: int) -> frozen
     difference of their supports.  Spanning arguments make generators sufficient.
     No cycle or divisibility reasoning is used; this is the oracle.  The
     generators are built once per (view, map), after the map passes the same
-    descent check as ``sep_set``; they are transported afresh on every call.
+    descent check as ``sep_set``.  The transport depends on n only through
+    n mod the map's order, so every generator is transported once per residue
+    and the set found there is kept for that residue.
     """
     key = ("oracle", id(piece_map))
     cached = view._memo.get(key)
@@ -141,11 +145,15 @@ def brute_force_sep(view: SubalgebraView, piece_map: PieceMap, n: int) -> frozen
         generators = [CoefficientVector.indicator(size, view.preimage(q))
                       for q in range(view.sub.piece_count)]
         # holding the map keeps its id from reuse
-        cached = view._memo[key] = (piece_map, generators)
-    separated: set[int] = set()
-    for h in cached[1]:
-        separated.update(h.entries.keys() ^ sigma_tilde_pow(h, piece_map, n).entries.keys())
-    return frozenset(separated)
+        cached = view._memo[key] = (piece_map, generators, {})
+    _, generators, tables = cached
+    r = n % piece_map.period
+    if r not in tables:
+        separated: set[int] = set()
+        for h in generators:
+            separated.update(h.entries.keys() ^ sigma_tilde_pow(h, piece_map, n).entries.keys())
+        tables[r] = frozenset(separated)
+    return tables[r]
 
 
 @dataclass(frozen=True)

@@ -219,3 +219,30 @@ def test_the_output_file_keeps_every_completed_pair_when_a_run_fails(monkeypatch
     with pytest.raises(RuntimeError):
         bench_pairs.main([*argv, "--pairs", "3"])
     assert out.read_text() == complete and entry(partial)["pairs"] == 1
+
+
+
+def test_a_finished_run_prints_one_verdict_line_per_metric(monkeypatch, capsys, tmp_path):
+    for label in ("parent", "change"):
+        (tmp_path / label).mkdir()
+        (tmp_path / label / "BENCHMARK.json").write_text(json.dumps({"end_to_end": DECLARED}))
+    monkeypatch.setattr(bench_pairs, "checkout", lambda spec, workdir, label: (tmp_path / label, label))
+    # the change is faster in every pair, and slower per operation beyond the bound
+    canned_runs = {"parent": [(100.0, 2.0), (101.0, 2.0), (102.0, 2.0)],
+                   "change": [(130.0, 3.0), (131.0, 3.0), (132.0, 3.0)]}
+
+    def fake_run(directory, workload, seed, seconds):
+        ips, p50 = canned_runs[directory.name][seed - 61]
+        return {**bench_pairs.parse_result(canned(seed, ips, p50)), "wall_s": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "out.json"
+    bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "atlas", "--seed", "61",
+                      "--pairs", "3", "--out", str(out)])
+    verdict = capsys.readouterr().err.splitlines()[-2:]
+    assert verdict == [
+        f"items_per_s: ratio {131 / 101:.3f}, change won 3/3, gain_holds True, within_bound True",
+        "op_p50_ms: ratio 1.500, change won 0/3, gain_holds False, within_bound False",
+    ]
+    metrics = json.loads(out.read_text())["workloads"]["atlas"]["metrics"]
+    assert [metrics[name]["change_wins"] for name in ("items_per_s", "op_p50_ms")] == [3, 0]

@@ -301,11 +301,14 @@ def test_oracle_builds_its_generators_once_per_view_and_map(monkeypatch):
     for view, pm in [(view, inst.refined_map) for inst in draws for view in _views_of(inst)]:
         descents.clear()
         builds.clear()
-        seps = []
+        seps, seen = [], set()
         for n in degrees:
             transports.clear()
             seps.append(brute_force_sep(view, pm, n))
-            assert len(transports) == view.sub.piece_count  # every generator, on every call
+            # every generator at the first call of a residue, none at a later one
+            fresh = n % pm.period not in seen
+            assert len(transports) == (view.sub.piece_count if fresh else 0)
+            seen.add(n % pm.period)
         assert len(descents) == 1 and len(builds) == view.sub.piece_count
         assert seps == [sep_set(view, pm, n) for n in degrees], pm.perm
 
@@ -336,6 +339,28 @@ def test_oracle_memo_holds_its_map():
     del pm
     gc.collect()
     assert held() is not None  # so no later map can take over its id
+
+
+def test_oracle_keeps_one_table_per_residue_of_each_maps_order():
+    from test_crossed import _dense_literal_sep
+
+    part, swap = swap_instance()
+    shared = SubalgebraView.identity(part)
+    cycle = PieceMap(part, (2, 0, 1, 3, 4))
+    rng = random.Random(2503)
+    pairs = [(view, inst.refined_map) for inst in (random_instance(rng) for _ in range(80))
+             for view in _views_of(inst)]
+    for view, pm in [(shared, swap), (shared, cycle)] + pairs:
+        L = pm.period
+        dense = _dense_literal_sep(view, pm.perm, range(L))
+        for n in range(L):
+            far = 10**12 * L + n
+            for m in (n, n + L, n - L, n + 3 * L, n - 3 * L, far, -far):
+                assert brute_force_sep(view, pm, m) == dense[n], (m, pm.perm)
+        assert view._memo[("oracle", id(pm))][0] is pm
+    # one view shared by two maps keeps each map's tables apart
+    assert [entry[0] for entry in shared._memo.values()] == [swap, cycle]
+    assert [sorted(entry[2]) for entry in shared._memo.values()] == [[0, 1], [0, 1, 2]]
 
 
 def test_cached_tables_stay_out_of_copies():

@@ -27,7 +27,9 @@ workload is its own entry; an existing file measured on the same two
 revisions, interpreter and machine keeps its other workloads.  Every
 completed pair is written to ``<out>.partial``, which replaces the file only
 after the last pair: a measurement cut short keeps the pairs it finished
-there and leaves the earlier file as it was.
+there and leaves the earlier file as it was.  After the last pair, one line
+per metric on stderr gives its ratio, the pairs the change won, and whether
+the gain holds and the metric is within its bound.
 """
 from __future__ import annotations
 
@@ -123,6 +125,14 @@ def workload_entry(parent_runs: list[dict], change_runs: list[dict], declared: l
         "wall_s": {"parent": wall_summary(parent_runs), "change": wall_summary(change_runs)},
         "metrics": compare(parent_runs, change_runs, declared),
     }
+
+
+def print_verdict(entry: dict) -> None:
+    """One stderr line per end-to-end metric of a finished workload entry."""
+    for name, m in entry["metrics"].items():
+        ratio = "n/a" if m["ratio"] is None else f"{m['ratio']:.3f}"
+        print(f"{name}: ratio {ratio}, change won {m['change_wins']}/{entry['pairs']}, "
+              f"gain_holds {m['gain_holds']}, within_bound {m['within_bound']}", file=sys.stderr)
 
 
 def machine() -> dict:
@@ -240,6 +250,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             partial.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         partial.replace(args.out)
+    print_verdict(document["workloads"][args.workload])
     return 0
 
 
