@@ -166,36 +166,6 @@ class CrossedElement:
     def scale(self, c: RationalLike) -> "CrossedElement":
         return _element({n: vec.scale(c) for n, vec in self.terms})
 
-    def to_json(self) -> dict:
-        return {"terms": {str(n): [str(v) for v in vec.values] for n, vec in self.terms}}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "CrossedElement":
-        """Read ``to_json`` output back; a malformed document raises ValueError."""
-        terms = data.get("terms", {}) if isinstance(data, Mapping) else None
-        if not isinstance(terms, Mapping):
-            raise ValueError("terms: expected an object mapping degrees to values")
-        first: dict[int, str] = {}
-        vectors: dict[int, CoefficientVector] = {}
-        for key, vals in terms.items():
-            try:
-                degree = int(key)
-            except (TypeError, ValueError):
-                raise ValueError(f"terms key {key!r}: not a degree") from None
-            if degree in first:
-                raise ValueError(f"terms keys {first[degree]!r} and {key!r} name the same degree")
-            if not isinstance(vals, list):
-                raise ValueError(f"terms[{key!r}]: expected a list of values")
-            try:
-                vectors[degree] = CoefficientVector(tuple(vals))
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"terms[{key!r}]: {exc}") from None
-            first[degree] = key
-        try:
-            return crossed_element(vectors)
-        except PartitionMismatch as exc:
-            raise ValueError(str(exc)) from None
-
 
 def crossed_element(terms: Mapping[int, VectorLike]) -> CrossedElement:
     """Build the normal form, pruning zero vectors and fixing the order."""

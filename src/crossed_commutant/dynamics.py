@@ -18,7 +18,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -425,12 +425,11 @@ def check_pi(profile: PiProfile) -> ValidationReport:
 def realize_pi(k: int, p: int, profile: PiProfile) -> tuple[Refinement, PieceMap, PieceMap]:
     """Construct a witness instance whose profile is ``profile``.
 
-    The base partition has k intervals forming a single orbit (jump points
-    stay fixed); p points go into every interval.  Subinterval slots are
-    grouped, per multiplier l, into pi(l)/l blocks of l slots, and each
-    block is wired as one orbit of length k*l across the parents.  Added
-    points are wired slot-preserving along the parent orbit, a kind-safe
-    deterministic choice with multiplier 1.
+    The base partition has k intervals forming the single orbit 0 -> 1 ->
+    ... -> k-1 -> 0 (jump points stay fixed); p points go into every
+    interval.  The lift is the atlas census's minimal lift for the return
+    types lambda, with pi(l)/l cycles of length l on the subintervals, and
+    mu = 1^p on the added points.
     """
     report = check_pi(profile)
     if not report.ok:
@@ -439,42 +438,71 @@ def realize_pi(k: int, p: int, profile: PiProfile) -> tuple[Refinement, PieceMap
         raise InfeasibleProfile(
             f"profile is for k={profile.k}, p={profile.p}, requested k={k}, p={p}"
         )
+    refinement = _atlas_refinement((p,) * k, k - 1)
+    base_perm = (*range(1, k), 0, *range(k, 2 * k - 1))
+    lam = tuple(l for l, count in profile.pi.items() for _ in range(count // l))
+    split = refinement.kind_split
+    straight = _straight_lift(split, base_perm, refinement.refined.piece_count)
+    returns = (_minimal_perm(lam), _minimal_perm((1,) * p))
+    perm = _minimal_lift(straight, split, base_perm, [range(k)], [returns])
+    return refinement, PieceMap(refinement.base, base_perm), PieceMap(refinement.refined, perm)
 
-    base = build_real_line_partition([Fraction(i) for i in range(1, k)])
-    base_perm = list(range(base.piece_count))
-    for i in range(k):
-        base_perm[i] = (i + 1) % k
-    base_map = PieceMap(base, tuple(base_perm))
 
+# ---------------------------------------------------------------------------
+# lifts with given return-map cycle types
+
+
+def _atlas_refinement(distribution: tuple[int, ...], n: int) -> Refinement:
+    """n base jump points, the first intervals receiving the distribution's points."""
+    base = build_real_line_partition([Fraction(i) for i in range(1, n + 1)])
     additions = {
-        alpha: evenly_spaced_inside(*base.bounds_of(alpha), p) for alpha in range(k)
+        alpha: evenly_spaced_inside(*base.bounds_of(alpha), count)
+        for alpha, count in enumerate(distribution)
     }
-    refinement = refine_real_line(base, additions)
-    if p == 0:
-        return refinement, base_map, base_map
+    return refine_real_line(base, additions)
 
-    refined = refinement.refined
-    subs, pts = zip(*refinement.kind_split[:k])  # the base intervals are pieces 0..k-1
 
-    blocks: list[list[int]] = []
-    cursor = 0
-    for l in sorted(profile.pi):
-        for _ in range(profile.pi[l] // l):
-            blocks.append(list(range(cursor, cursor + l)))
-            cursor += l
+@cache
+def _minimal_perm(cycle_type: tuple[int, ...]) -> tuple[int, ...]:
+    """The lex-minimal permutation of ``range(sum(cycle_type))`` with this cycle type.
 
-    perm = list(range(refined.piece_count))
-    for block in blocks:
-        l = len(block)
-        for i in range(k):
-            for a, slot in enumerate(block):
-                src = subs[i][slot]
-                if i < k - 1:
-                    perm[src] = subs[i + 1][slot]
-                else:
-                    perm[src] = subs[0][block[(a + 1) % l]]
-    for i in range(k):
-        for j, point_piece in enumerate(pts[i]):
-            perm[point_piece] = pts[(i + 1) % k][j]
-    refined_map = PieceMap(refined, tuple(perm))
-    return refinement, base_map, refined_map
+    Shortest cycles first, each on a run of consecutive ids: i -> i + 1 along
+    the run, and its last id back to the run's start.
+    """
+    perm: list[int] = []
+    for length in sorted(cycle_type):
+        start = len(perm)
+        perm.extend(range(start + 1, start + length))
+        perm.append(start)
+    return tuple(perm)
+
+
+def _straight_lift(split, base_perm, pieces: int) -> list[int]:
+    """The lift keeping every arc's children in order."""
+    perm = [0] * pieces
+    for b, image in enumerate(base_perm):
+        for kind in (0, 1):
+            for src, dst in zip(split[b][kind], split[image][kind]):
+                perm[src] = dst
+    return perm
+
+
+def _minimal_lift(straight, split, base_perm, orbits, returns) -> tuple[int, ...]:
+    """``straight`` with each orbit's last arc set to its (subinterval, point) return maps.
+
+    Within one orbit and one kind, children come in the order of their
+    parents' ids.  Every arc can keep its children's order except the one
+    out of the member with the largest id, and with the others order
+    preserving, that arc is the return map.  So with the lex-minimal
+    permutations of types (lambda, mu) as returns this is the lex-minimal
+    lift whose return maps have those types; orbits and kinds fill disjoint
+    positions, so that holds for every orbit at once.
+    """
+    perm = list(straight)
+    for cycle, pair in zip(orbits, returns):
+        last = max(cycle)
+        for kind, sigma in enumerate(pair):
+            dst = split[base_perm[last]][kind]
+            for child, image in zip(split[last][kind], sigma):
+                perm[child] = dst[image]
+    return tuple(perm)

@@ -21,18 +21,20 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .commutant import DifferenceDescription, commutant_difference
-from .dynamics import PieceMap, _unchecked_piece_map, perm_cycles
-from .errors import ScaleExceeded
-from .partition import (
-    Refinement,
-    build_real_line_partition,
-    evenly_spaced_inside,
-    refine_real_line,
+from .dynamics import (
+    PieceMap,
+    _atlas_refinement,
+    _minimal_lift,
+    _minimal_perm,
+    _straight_lift,
+    _unchecked_piece_map,
+    perm_cycles,
 )
+from .errors import ScaleExceeded
+from .partition import Refinement
 
 Lift = tuple[Refinement, PieceMap, PieceMap]  # (refinement, base map, lift)
 
@@ -244,16 +246,6 @@ def _atlas_plan(total_points, base_n, max_pieces, max_lifts) -> list[tuple[tuple
     return plan
 
 
-def _atlas_refinement(distribution: tuple[int, ...], n: int) -> Refinement:
-    """n base jump points, the first intervals receiving the distribution's points."""
-    base = build_real_line_partition([Fraction(i) for i in range(1, n + 1)])
-    additions = {
-        alpha: evenly_spaced_inside(*base.bounds_of(alpha), count)
-        for alpha, count in enumerate(distribution)
-    }
-    return refine_real_line(base, additions)
-
-
 def _atlas_lifts(args) -> Iterator[Lift]:
     for distribution, n in _atlas_plan(*args):
         refinement = _atlas_refinement(distribution, n)
@@ -313,21 +305,6 @@ def _type_size(cycle_type: tuple[int, ...]) -> int:
 
 
 @functools.cache
-def _minimal_perm(cycle_type: tuple[int, ...]) -> tuple[int, ...]:
-    """The lex-minimal permutation of ``range(sum(cycle_type))`` with this cycle type.
-
-    Shortest cycles first, each on a run of consecutive ids: i -> i + 1 along
-    the run, and its last id back to the run's start.
-    """
-    perm: list[int] = []
-    for length in sorted(cycle_type):
-        start = len(perm)
-        perm.extend(range(start + 1, start + length))
-        perm.append(start)
-    return tuple(perm)
-
-
-@functools.cache
 def _orbit_options(k: int, intervals: int, points: int) -> tuple[tuple, ...]:
     """The lifts over one base orbit of k pieces, each with these child counts, by cycle types.
 
@@ -357,12 +334,12 @@ def _orbit_options(k: int, intervals: int, points: int) -> tuple[tuple, ...]:
 
 @functools.cache
 def _orbit_choices(orbits: tuple[tuple[int, int, int], ...]) -> tuple[tuple, ...]:
-    """Per choice of one option for each (k, child counts) orbit: (triples, lifts, choice)."""
+    """Per choice of one option for each (k, child counts) orbit: (triples, lifts, return pairs)."""
     return tuple(
         (
             _signature_triples(*(option[1] for option in choice)),
             math.prod(option[0] for option in choice),
-            choice,
+            tuple(option[2:] for option in choice),
         )
         for choice in itertools.product(*(_orbit_options(*orbit) for orbit in orbits))
     )
@@ -377,13 +354,8 @@ def _atlas_census(plan) -> dict[CaseSignature, CaseGroup]:
     lifts, a lift is one independent choice per base orbit, so its counts
     multiply and its class sizes add across the orbits' ``_orbit_options``.
 
-    Representatives: within one orbit and one kind, children come in the
-    order of their parents' ids.  Every arc can keep its children's order
-    except the one out of the member with the largest id, and with the others
-    order preserving, that arc is the return map.  So the lex-minimal lift
-    with return types (lambda, mu) takes there the lex-minimal permutations
-    of those types, and orbits and kinds fill disjoint positions, so the
-    minimal lift of a choice per orbit is the per-orbit minima together.
+    The representative of a choice is ``_minimal_lift`` of its orbits'
+    return pairs: the lex-minimal lift with those return types.
     """
     found: dict[tuple, list] = {}  # triples -> [count, key, refinement]
     for distribution, n in plan:
@@ -396,7 +368,7 @@ def _atlas_census(plan) -> dict[CaseSignature, CaseGroup]:
             base_perm = iperm + base_points
             orbits = perm_cycles(iperm)
             straight = None
-            for triples, lifts, choice in _orbit_choices(tuple((len(c), *shape[c[0]]) for c in orbits)):
+            for triples, lifts, returns in _orbit_choices(tuple((len(c), *shape[c[0]]) for c in orbits)):
                 count = math.factorial(n) * lifts
                 entry = found.get(triples)
                 if entry is not None:
@@ -405,7 +377,7 @@ def _atlas_census(plan) -> dict[CaseSignature, CaseGroup]:
                         continue
                 if straight is None:
                     straight = _straight_lift(split, base_perm, pieces)
-                key = (pieces, base_perm, _minimal_lift(straight, split, base_perm, orbits, choice))
+                key = (pieces, base_perm, _minimal_lift(straight, split, base_perm, orbits, returns))
                 if entry is None:
                     found[triples] = [count, key, refinement]
                 elif key < entry[1]:
@@ -419,28 +391,6 @@ def _atlas_census(plan) -> dict[CaseSignature, CaseGroup]:
         for triples, (count, (_, base_perm, refined_perm), ref) in found.items()
     ]
     return {group.signature: group for group in groups}
-
-
-def _straight_lift(split, base_perm, pieces: int) -> list[int]:
-    """The lift keeping every arc's children in order."""
-    perm = [0] * pieces
-    for b, image in enumerate(base_perm):
-        for kind in (0, 1):
-            for src, dst in zip(split[b][kind], split[image][kind]):
-                perm[src] = dst
-    return perm
-
-
-def _minimal_lift(straight, split, base_perm, orbits, choice) -> tuple[int, ...]:
-    """``straight`` with each orbit's last arc set to its option's minimal return maps."""
-    perm = list(straight)
-    for cycle, (_, _, *returns) in zip(orbits, choice):
-        last = max(cycle)
-        for kind, sigma in enumerate(returns):
-            dst = split[base_perm[last]][kind]
-            for child, image in zip(split[last][kind], sigma):
-                perm[child] = dst[image]
-    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +445,8 @@ def c1_subcase_diagnostic(k: int) -> SubcaseDiagnostic:
     numbers instead of asserting, so a disagreement is visible data.
     """
     formula = c1_subcase_count(k)
-    base = build_real_line_partition([])
-    refinement = refine_real_line(base, {0: evenly_spaced_inside(None, None, k)})
-    base_map = PieceMap.identity(base)
+    refinement = _atlas_refinement((k,), 0)
+    base_map = PieceMap.identity(refinement.base)
     ints, pts = refinement.kind_split[0]
     shapes = set()
     for lift in enumerate_refined_maps(refinement, base_map):

@@ -35,7 +35,7 @@ from .dynamics import (
     refined_cycle_classes,
     validate_refined_invariance,
 )
-from .enumeration import count_refined_maps, enumerate_refined_maps
+from .enumeration import count_refined_maps, enumerate_refined_maps, integer_partitions
 from .instances import Instance, render_instance
 from .partition import (
     PieceKind,
@@ -431,22 +431,11 @@ def suite_profiles(seed: int, instances: int = 40) -> SuiteResult:
 
 
 def _admissible_profiles(k: int, p: int) -> list[PiProfile]:
-    profiles = []
-
-    def rec(l: int, left: int, current: dict[int, int]):
-        if left == 0:
-            profiles.append(PiProfile(k=k, p=p, pi=dict(current)))
-            return
-        if l > p + 1:
-            return
-        for blocks in range(left // l + 1):
-            if blocks:
-                current[l] = blocks * l
-            rec(l + 1, left - blocks * l, current)
-            current.pop(l, None)
-
-    rec(1, p + 1, {})
-    return profiles
+    """One profile per cycle type of the p+1 subintervals: fewest 1-cycles first, then 2-cycles, ..."""
+    return [
+        PiProfile(k=k, p=p, pi={l: l * lam.count(l) for l in sorted(set(lam))})
+        for lam in sorted(integer_partitions(p + 1), key=lambda lam: [lam.count(l) for l in range(1, p + 2)])
+    ]
 
 
 def run_selftest(seed: int, iterations: int = 1000) -> list[SuiteResult]:

@@ -8,26 +8,33 @@ import weakref
 import pytest
 
 from crossed_commutant import (
+    PieceKind,
     PieceMap,
+    RealLinePartition,
+    Refinement,
     SubalgebraView,
     atlas_instances,
     brute_force_sep,
+    build_abstract_partition,
     build_real_line_partition,
     commutant_description,
     commutant_difference,
     crossed_element,
     descend_map,
+    evenly_spaced_inside,
     find_noncommuting_witness,
     generator_element,
     indicator_element,
     is_in_commutant,
     multiply,
+    perm_cycles,
+    refine_abstract,
     refine_real_line,
     refined_sep,
     sep_set,
 )
 from crossed_commutant.errors import LiftInconsistent, MapDoesNotDescend, PartitionMismatch
-from crossed_commutant.selftest import random_instance
+from crossed_commutant.selftest import _random_kind_preserving_perm, _random_lift, random_instance
 
 
 def swap_instance():
@@ -421,3 +428,69 @@ def test_difference_descriptions_equal_the_general_views(instances, expected):
         assert list(diff.refined.class_pieces) == list(refined.class_pieces)
         seen += 1
     assert seen == expected
+
+
+def _refine_along_orbits(rng, partition, piece_map):
+    """One refinement step with equal child counts along every orbit, so lifts exist."""
+    counts = {}
+    for cycle in perm_cycles(piece_map.perm):
+        counts.update(dict.fromkeys(cycle, rng.randint(0, 2)))
+    if isinstance(partition, RealLinePartition):
+        return refine_real_line(partition, {
+            b: evenly_spaced_inside(*partition.bounds_of(b), c)
+            for b, c in counts.items()
+            if partition.pieces[b].kind is PieceKind.INTERVAL
+        })
+    return refine_abstract(partition, {b: c + 1 for b, c in counts.items()})
+
+
+def _compose(first, second):
+    """The refinement base -> fine of two steps base -> mid -> fine, built by hand."""
+    added = None
+    if first.added_points is not None:
+        merged = {}
+        for alpha, points in first.added_points.items():
+            merged.setdefault(alpha, []).extend(points)
+        for mid, points in second.added_points.items():
+            merged.setdefault(first.parent_of[mid], []).extend(points)
+        added = {alpha: tuple(sorted(points)) for alpha, points in merged.items()}
+    parent_of = tuple(first.parent_of[mid] for mid in second.parent_of)
+    return Refinement(first.base, second.refined, parent_of, added)
+
+
+def _chains(count, seed):
+    """Seeded chains base -> mid -> fine with lifts, half on the line and half abstract."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            base = build_abstract_partition(rng.randint(1, 4))
+        else:
+            base = build_real_line_partition(sorted(rng.sample(range(10), rng.randint(0, 2))))
+        bm = PieceMap(base, _random_kind_preserving_perm(rng, base))
+        first = _refine_along_orbits(rng, base, bm)
+        mm = _random_lift(rng, first, bm)
+        second = _refine_along_orbits(rng, first.refined, mm)
+        yield first, second, bm, mm, _random_lift(rng, second, mm)
+
+
+def test_refinement_chains_grow_sep_sets_by_the_composed_difference():
+    both_steps = 0
+    for first, second, bm, mm, fm in _chains(80, 2701):
+        whole = _compose(first, second)
+        views = (  # base, mid and fine, all on the fine partition
+            SubalgebraView.of_refinement(whole),
+            SubalgebraView.of_refinement(second),
+            SubalgebraView.identity(second.refined),
+        )
+        steps = commutant_difference(first, bm, mm), commutant_difference(second, mm, fm)
+        composed = commutant_difference(whole, bm, fm)
+        for n in range(-12, 13):
+            base_sep, mid_sep, fine_sep = seps = [sep_set(view, fm, n) for view in views]
+            assert base_sep <= mid_sep <= fine_sep
+            outer = steps[1].forbidden_at(n)
+            pulled = {c for c, mid in enumerate(second.parent_of) if mid in steps[0].forbidden_at(n)}
+            assert not outer & pulled
+            assert composed.forbidden_at(n) == outer | pulled == fine_sep - base_sep
+            assert [brute_force_sep(view, fm, n) for view in views] == seps
+            both_steps += bool(outer and pulled)
+    assert both_steps >= 100  # the law is exercised with both steps at work

@@ -12,7 +12,6 @@ import crossed_commutant.crossed as crossed
 from crossed_commutant import (
     CoefficientVector,
     CommutantDescription,
-    CrossedElement,
     PieceMap,
     SubalgebraView,
     brute_force_sep,
@@ -72,6 +71,20 @@ def test_crossed_element_normal_form_prunes_zeros():
 def test_crossed_element_rejects_mixed_sizes():
     with pytest.raises(PartitionMismatch):
         crossed_element({0: [1, 0], 1: [1, 0, 0]})
+    with pytest.raises(PartitionMismatch, match=re.escape("terms have mixed vector lengths: [1, 2]")):
+        crossed_element({0: ["1"], 1: ["1", "2"]})
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [([0.5], "floats are not exact"), (["1", [2]], "cannot interpret [2]")],
+    ids=["float", "uncoercible"],
+)
+def test_vector_rejects_inexact_and_uncoercible_values(values, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        CoefficientVector(values)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        crossed_element({0: values})
 
 
 def test_element_addition_merges_degrees():
@@ -83,31 +96,6 @@ def test_element_addition_merges_degrees():
     assert s.term(1).values == (1, 1)
     assert (s - s).is_zero()
     assert s.scale(0).is_zero()
-
-
-def test_json_round_trip():
-    e = crossed_element({1: ["1/2", 0, 1], -2: [1, 0, 0]})
-    data = e.to_json()
-    assert data == {"terms": {"-2": ["1", "0", "0"], "1": ["1/2", "0", "1"]}}
-    assert CrossedElement.from_json(data) == e
-
-
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        ({"terms": {"0": [1], "00": [2]}}, "terms keys '0' and '00' name the same degree"),
-        ({"terms": [1]}, "terms: expected an object"),
-        ({"terms": {"x": [1]}}, "terms key 'x': not a degree"),
-        ({"terms": {"0": "12"}}, "terms['0']: expected a list"),
-        ([1], "terms: expected an object"),
-        ({"terms": {"0": [0.5]}}, "terms['0']: floats are not exact"),
-        ({"terms": {"0": ["1", [2]]}}, "terms['0']: cannot interpret [2]"),
-        ({"terms": {"0": ["1"], "1": ["1", "2"]}}, "terms have mixed vector lengths: [1, 2]"),
-    ],
-)
-def test_from_json_rejects_malformed_documents(data, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        CrossedElement.from_json(data)
 
 
 def test_sigma_tilde_moves_along_the_inverse_orbit():

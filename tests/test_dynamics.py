@@ -16,6 +16,7 @@ from crossed_commutant import (
     build_real_line_partition,
     check_pi,
     cycle_classes,
+    enumerate_refined_maps,
     parse_instance,
     perm_cycles,
     perm_inverse,
@@ -38,6 +39,7 @@ from crossed_commutant.dynamics import (
     cycle_lengths,
 )
 from crossed_commutant.errors import InfeasibleProfile, LiftInconsistent
+import crossed_commutant.selftest as selftest
 from crossed_commutant.selftest import random_instance
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -307,6 +309,27 @@ def test_realize_pi_rejects_infeasible():
         realize_pi(1, 1, PiProfile(k=1, p=1, pi={2: 1}))
     with pytest.raises(InfeasibleProfile):
         realize_pi(2, 1, PiProfile(k=1, p=1, pi={2: 2}))
+
+
+@pytest.mark.parametrize("k, p", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_realize_pi_is_the_lex_minimal_lift_with_its_profile(k, p):
+    for prof in _admissible(k, p):
+        ref, bm, rm = realize_pi(k, p, prof)
+        matching = [
+            lift.perm
+            for lift in enumerate_refined_maps(ref, bm)
+            if pi_profile(refined_cycle_classes(ref, bm, lift), range(k)).sorted_items()
+            == prof.sorted_items()
+        ]
+        assert rm.perm == min(matching)
+
+
+def test_admissible_profiles_follow_the_recursive_order():
+    # the last one is read by test_a_failed_realize_round_trip_carries_its_document
+    for k in (1, 2, 3):
+        for p in range(8):
+            got, want = selftest._admissible_profiles(k, p), _admissible(k, p)
+            assert list(map(repr, got)) == list(map(repr, want))
 
 
 def _admissible(k, p):

@@ -445,7 +445,7 @@ def test_one_orbit_table_has_a_row_per_pair_of_cycle_types(p):
 
 
 def test_minimal_permutation_of_each_cycle_type_is_the_rotation_rule():
-    from crossed_commutant.enumeration import _minimal_perm
+    from crossed_commutant.dynamics import _minimal_perm
 
     for size in range(9):
         first = {}  # the first permutation of each cycle type, in lexicographic order

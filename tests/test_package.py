@@ -48,3 +48,27 @@ def test_a_fresh_import_lets_the_previous_generation_go():
     done = subprocess.run([sys.executable, "-c", _REIMPORT], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"  # no class of the first generation is still alive
+
+
+def _third_party_imports(source: str) -> list[str]:
+    """Top-level names of the absolute imports in ``source`` that are not in the standard library."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_src_imports_only_the_standard_library():
+    package = Path(crossed_commutant.__file__).parent
+    found = {
+        path.name: _third_party_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(package.rglob("*.py"))
+    }
+    assert len(found) >= 11
+    assert {name: bad for name, bad in found.items() if bad} == {}
+    # the guard itself sees a third-party import in each form, even one nested in a function
+    sample = "import os.path, numpy.linalg\nfrom . import x\nfrom .y import z\ndef f():\n    from hypothesis import given\n"
+    assert _third_party_imports(sample) == ["numpy.linalg", "hypothesis"]
