@@ -39,8 +39,7 @@ from crossed_commutant.dynamics import (
     cycle_lengths,
 )
 from crossed_commutant.errors import InfeasibleProfile, LiftInconsistent
-import crossed_commutant.selftest as selftest
-from crossed_commutant.selftest import random_instance
+from crossed_commutant.selftest import _admissible_profiles, random_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -328,7 +327,7 @@ def test_admissible_profiles_follow_the_recursive_order():
     # the last one is read by test_a_failed_realize_round_trip_carries_its_document
     for k in (1, 2, 3):
         for p in range(8):
-            got, want = selftest._admissible_profiles(k, p), _admissible(k, p)
+            got, want = _admissible_profiles(k, p), _admissible(k, p)
             assert list(map(repr, got)) == list(map(repr, want))
 
 

@@ -51,7 +51,7 @@ def test_a_fresh_import_lets_the_previous_generation_go():
 
 
 def _third_party_imports(source: str) -> list[str]:
-    """Top-level names of the absolute imports in ``source`` that are not in the standard library."""
+    """The absolute imports in ``source`` whose top-level package is not in the standard library."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
