@@ -71,6 +71,9 @@ def test_crossed_element_normal_form_prunes_zeros():
 def test_crossed_element_rejects_mixed_sizes():
     with pytest.raises(PartitionMismatch):
         crossed_element({0: [1, 0], 1: [1, 0, 0]})
+
+
+def test_crossed_element_names_the_mixed_vector_lengths():
     with pytest.raises(PartitionMismatch, match=re.escape("terms have mixed vector lengths: [1, 2]")):
         crossed_element({0: ["1"], 1: ["1", "2"]})
 
