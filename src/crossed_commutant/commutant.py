@@ -151,7 +151,7 @@ def brute_force_sep(view: SubalgebraView, piece_map: PieceMap, n: int) -> frozen
     if r not in tables:
         separated: set[int] = set()
         for h in generators:
-            separated.update(h.entries.keys() ^ sigma_tilde_pow(h, piece_map, n).entries.keys())
+            separated.update(h.nums.keys() ^ sigma_tilde_pow(h, piece_map, n).nums.keys())
         tables[r] = frozenset(separated)
     return tables[r]
 

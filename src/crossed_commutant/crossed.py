@@ -10,15 +10,15 @@ sums and products cost the support, not the number of pieces.
 An element of the crossed product is a finitely supported sum of terms
 "vector at integer degree n"; multiplication twists the right factor by the
 action before multiplying pointwise and adds the degrees.  Everything is
-exact: coefficients are ``fractions.Fraction`` throughout, never floating
-point.
+exact, never floating point: a vector holds integer numerators over one
+reduced denominator, and its values read back as ``fractions.Fraction``.
 """
 from __future__ import annotations
 
-import operator
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from .dynamics import PieceMap, perm_power
@@ -29,97 +29,124 @@ if TYPE_CHECKING:  # pragma: no cover
     from .commutant import CommutantDescription
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, repr=False)
 class CoefficientVector:
-    """One rational value per piece, stored as the size and the nonzero entries.
+    """One rational value per piece: the nonzero ones as integer numerators over one denominator.
 
-    No entry holds zero, so every operation costs the support, not the size.
+    Reduced (den >= 1, gcd(den, *nums) == 1, so den == 1 when all are zero), hence canonical:
+    equality and hashing are structural.  Operations cost the support, not the size.
     """
 
     size: int
-    entries: dict[int, Fraction]  # piece id -> nonzero value; never mutated
+    den: int
+    nums: dict[int, int]  # piece id -> nonzero numerator; never mutated
 
     def __init__(self, values: Iterable[RationalLike]) -> None:
         values = tuple(values)
         if not set(map(type, values)) <= {Fraction}:
             values = tuple(as_fraction(v) for v in values)
-        object.__setattr__(self, "size", len(values))
-        object.__setattr__(self, "entries", {i: v for i, v in enumerate(values) if v})
+        ratios = [v.as_integer_ratio() for v in values]
+        dens = {q for p, q in ratios if p}
+        den = lcm(*dens)  # reduced values over the lcm of their denominators share no factor with it
+        if len(dens) == 1:
+            nums = {i: p for i, (p, q) in enumerate(ratios) if p}
+        else:
+            nums = {i: p * (den // q) for i, (p, q) in enumerate(ratios) if p}
+        self.__dict__.update(size=len(values), den=den, nums=nums)
 
     @classmethod
     def indicator(cls, size: int, pieces: Iterable[int]) -> "CoefficientVector":
-        entries = {}
+        if type(size) is not int or size < 0:
+            raise (ValueError if type(size) is int else TypeError)(f"size {size!r} is not an int >= 0")
+        nums = {}
         for i in pieces:
             if type(i) is not int or not 0 <= i < size:
                 raise ValueError(f"piece {i!r} is not among the {size} pieces")
-            entries[i] = _ONE
-        return _vector(size, entries)
+            nums[i] = 1
+        return _vector(size, 1, nums)
+
+    @property
+    def entries(self) -> dict[int, Fraction]:
+        """The nonzero values by piece id, built on every call."""
+        return {i: Fraction(v, self.den) for i, v in self.nums.items()}
 
     @property
     def values(self) -> tuple[Fraction, ...]:
         """The dense read, one value per piece, built on every call."""
-        values = [_ZERO] * self.size
-        for i, v in self.entries.items():
-            values[i] = v
-        return tuple(values)
+        entries = self.entries
+        return tuple(entries.get(i, _ZERO) for i in range(self.size))
+
+    def __repr__(self) -> str:
+        return f"CoefficientVector(size={self.size!r}, entries={self.entries!r})"
 
     def __hash__(self) -> int:
-        return hash((self.size, frozenset(self.entries.items())))
+        return hash((self.size, self.den, frozenset(self.nums.items())))
 
     def __len__(self) -> int:
         return self.size
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.nums
 
     def support(self) -> frozenset[int]:
-        return frozenset(self.entries)
+        return frozenset(self.nums)
 
     def __add__(self, other: "CoefficientVector") -> "CoefficientVector":
-        return self._merge(other, operator.add)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "CoefficientVector") -> "CoefficientVector":
-        return self._merge(other, operator.sub)
+        return self._merge(other, -1)
 
-    def _merge(
-        self, other: "CoefficientVector", op: Callable[[Fraction, Fraction], Fraction]
-    ) -> "CoefficientVector":
-        """``op`` over the union of the supports; an entry that cancels is dropped."""
+    def _merge(self, other: "CoefficientVector", sign: int) -> "CoefficientVector":
+        """self + sign * other over the union of the supports; an entry that cancels is dropped."""
         self._check(other)
-        entries = dict(self.entries)
-        for i, b in other.entries.items():
-            v = op(entries.get(i, _ZERO), b)
-            if v:
-                entries[i] = v
+        den = lcm(self.den, other.den)
+        q, k = den // self.den, sign * (den // other.den)
+        nums = dict(self.nums) if q == 1 else {i: q * v for i, v in self.nums.items()}
+        for i, v in other.nums.items():
+            w = nums.get(i, 0) + k * v
+            if w:
+                nums[i] = w
             else:
-                del entries[i]
-        return _vector(self.size, entries)
+                del nums[i]
+        return _reduced(self.size, den, nums)
 
     def __mul__(self, other: "CoefficientVector") -> "CoefficientVector":
         """Pointwise product: multiplication in the function algebra."""
         self._check(other)
-        a, b = self.entries, other.entries
-        return _vector(self.size, {i: v * b[i] for i, v in a.items() if i in b})
+        b = other.nums
+        return _reduced(self.size, self.den * other.den, {i: v * b[i] for i, v in self.nums.items() if i in b})
 
     def scale(self, c: RationalLike) -> "CoefficientVector":
-        c = as_fraction(c)
-        return _vector(self.size, {i: c * v for i, v in self.entries.items()} if c else {})
+        return _scaled(self, as_fraction(c))
 
     def _check(self, other: "CoefficientVector") -> None:
         if self.size != other.size:
             raise PartitionMismatch(f"vectors of length {self.size} and {other.size}")
 
 
-def _vector(size: int, entries: dict[int, Fraction]) -> CoefficientVector:
-    # trusted constructor for nonzero Fraction entries on pieces below size: no re-check
+def _vector(size: int, den: int, nums: dict[int, int]) -> CoefficientVector:
+    # trusted constructor for a reduced form on pieces below size: no re-check
     vec = object.__new__(CoefficientVector)
     fields = vec.__dict__
-    fields["size"] = size
-    fields["entries"] = entries
+    fields["size"], fields["den"], fields["nums"] = size, den, nums
     return vec
+
+
+def _reduced(size: int, den: int, nums: dict[int, int]) -> CoefficientVector:
+    """The vector nums / den in reduced form, for den >= 1 and nonzero numerators."""
+    g = gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {i: v // g for i, v in nums.items()}
+    return _vector(size, den, nums)
+
+
+def _scaled(vec: CoefficientVector, c: Fraction) -> CoefficientVector:
+    p = c.numerator
+    return _reduced(vec.size, vec.den * c.denominator, {i: p * v for i, v in vec.nums.items()} if p else {})
 
 
 # a PEP 604 union of abc generics: typing.Union (and typing.Sequence on the right
@@ -164,7 +191,8 @@ class CrossedElement:
         return self + other.scale(-1)
 
     def scale(self, c: RationalLike) -> "CrossedElement":
-        return _element({n: vec.scale(c) for n, vec in self.terms})
+        c = as_fraction(c)
+        return _element({n: _scaled(vec, c) for n, vec in self.terms})
 
 
 def crossed_element(terms: Mapping[int, VectorLike]) -> CrossedElement:
@@ -185,7 +213,7 @@ def crossed_element(terms: Mapping[int, VectorLike]) -> CrossedElement:
 
 def _element(terms: dict[int, CoefficientVector]) -> CrossedElement:
     # trusted constructor for int degrees and vectors of one size: prune and sort only
-    return CrossedElement(tuple(sorted((n, v) for n, v in terms.items() if v.entries)))
+    return CrossedElement(tuple(sorted((n, v) for n, v in terms.items() if v.nums)))
 
 
 def monomial(vec: VectorLike, degree: int) -> CrossedElement:
@@ -220,7 +248,7 @@ def sigma_tilde_pow(f: CoefficientVector, piece_map: PieceMap, n: int) -> Coeffi
             f"vector of length {f.size} on a partition with {piece_map.size} pieces"
         )
     forward = _power(piece_map, n)
-    return _vector(f.size, {forward[i]: v for i, v in f.entries.items()})
+    return _vector(f.size, f.den, {forward[i]: v for i, v in f.nums.items()})
 
 
 def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> CrossedElement:
@@ -233,12 +261,19 @@ def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> Cross
     for elem in (f, g):
         if elem.size is not None and elem.size != piece_map.size:
             raise PartitionMismatch("element does not live on the map's partition")
-    acc: dict[int, dict[int, Fraction]] = {}
+    dens: dict[int, int] = {}  # degree -> the denominator of its sum so far
+    acc: dict[int, dict[int, int]] = {}  # degree -> the numerators of that sum
     for n, fn in f.terms:
-        forward, left = _power(piece_map, n), fn.entries
+        forward, left = _power(piece_map, n), fn.nums
         for m, gm in g.terms:
-            out = acc.setdefault(n + m, {})
-            for i, v in gm.entries.items():
+            d, den, right = n + m, fn.den * gm.den, gm.nums
+            out, old = acc.setdefault(d, {}), dens.setdefault(d, den)
+            if old != den:  # put the sum so far and this product over a common denominator
+                dens[d] = common = lcm(old, den)
+                r, s = common // old, common // den
+                out = acc[d] = {j: r * w for j, w in out.items()} if r != 1 else out
+                right = {i: s * v for i, v in right.items()} if s != 1 else right
+            for i, v in right.items():
                 j = forward[i]
                 if j in left:
                     w = left[j] * v + out[j] if j in out else left[j] * v
@@ -246,7 +281,7 @@ def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> Cross
                         out[j] = w
                     else:
                         del out[j]  # a sum that cancels
-    return _element({d: _vector(len(piece_map.perm), e) for d, e in acc.items()})
+    return _element({d: _reduced(len(piece_map.perm), dens[d], out) for d, out in acc.items()})
 
 
 # ---------------------------------------------------------------------------

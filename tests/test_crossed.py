@@ -1,5 +1,7 @@
 """Coefficient vectors, twisted convolution, rank, and strong grading."""
 import copy
+import math
+import operator
 import pickle
 import random
 import re
@@ -28,6 +30,7 @@ from crossed_commutant import (
     sigma_tilde_pow,
 )
 from crossed_commutant.crossed import GradingResult
+from crossed_commutant.dynamics import perm_power
 from crossed_commutant.errors import PartitionMismatch
 from crossed_commutant.selftest import random_instance
 
@@ -220,7 +223,8 @@ def test_coefficients_are_coerced_only_when_not_fractions(monkeypatch):
         pass
 
     half = Half(1, 2)
-    assert CoefficientVector((Fraction(1), half)).values[1] is half is crossed.as_fraction(half)
+    assert CoefficientVector((Fraction(1), half)).values[1] == half
+    assert crossed.as_fraction(half) is half
 
     calls = []
     real = crossed.as_fraction
@@ -306,6 +310,15 @@ def test_indicator_rejects_pieces_outside_the_partition():
 def test_indicator_refuses_piece_ids_that_are_not_int(bad):
     with pytest.raises(ValueError, match=re.escape(f"piece {bad!r} is not among the 3 pieces")):
         CoefficientVector.indicator(3, [bad])
+
+
+@pytest.mark.parametrize("size, error", [(-1, ValueError), (2.5, TypeError), (True, TypeError), ("3", TypeError)])
+def test_indicators_refuse_sizes_that_are_not_nonnegative_ints(size, error):
+    message = re.escape(f"size {size!r} is not an int >= 0")
+    for build in (lambda: CoefficientVector.indicator(size, []), lambda: indicator_element(size, [], 0)):
+        with pytest.raises(error, match=message):
+            build()
+    assert len(CoefficientVector.indicator(0, [])) == 0 and CoefficientVector.indicator(0, []).values == ()
 
 
 @pytest.mark.parametrize("degree", [2.5, 2.0, True, "3", Fraction(2)])
@@ -714,3 +727,121 @@ def test_grading_takes_one_product_at_the_witness(monkeypatch, jump_points):
     description = commutant_description(SubalgebraView.identity(part), pm)
     assert not is_strongly_graded(description, pm).strongly_graded
     assert calls == {"multiply": 1, "rational_rank": 0}
+
+
+# ---------------------------------------------------------------------------
+# the numerator form against Fraction-dict arithmetic, the form vectors had before
+
+
+def _ref_merge(a, b, op):
+    out = dict(a)
+    for i, y in b.items():
+        v = op(out.get(i, Fraction(0)), y)
+        if v:
+            out[i] = v
+        else:
+            del out[i]
+    return out
+
+
+def _ref_scale(a, c):
+    return {i: c * v for i, v in a.items()} if c else {}
+
+
+def _ref_multiply(f, g, pm):
+    """The fused twisted product on degree -> {piece: Fraction} dicts."""
+    acc = {}
+    for n, fn in f.items():
+        forward = perm_power(pm.perm, n % pm.period)
+        for m, gm in g.items():
+            out = acc.setdefault(n + m, {})
+            for i, v in gm.items():
+                j = forward[i]
+                if j in fn:
+                    w = fn[j] * v + out.get(j, 0)
+                    if w:
+                        out[j] = w
+                    else:
+                        out.pop(j)
+    return {d: e for d, e in acc.items() if e}
+
+
+_BIG_PRIMES = (999983, 2**61 - 1)
+
+
+def _draw_values(rng, size):
+    """Dense values: small ones as the self-test draws them, or over large coprime denominators."""
+    if rng.random() < 0.6:
+        return [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.7 else Fraction(0)
+                for _ in range(size)]
+    return [Fraction(rng.randint(-10**6, 10**6), rng.choice(_BIG_PRIMES + (1, 6))) if rng.random() < 0.7
+            else Fraction(0) for _ in range(size)]
+
+
+def _check_vector(vec, want, size):
+    """``vec`` holds the values of ``want`` in reduced form and reads them back alike."""
+    assert vec.size == size and type(vec.den) is int and vec.den >= 1
+    assert all(type(v) is int and v for v in vec.nums.values())
+    assert math.gcd(vec.den, *vec.nums.values()) == 1
+    assert vec.entries == want and vec.support() == frozenset(want)
+    assert vec.values == tuple(want.get(i, Fraction(0)) for i in range(size))
+    assert repr(vec) == f"CoefficientVector(size={size}, entries={want!r})"
+    rebuilt = CoefficientVector(vec.values)
+    assert rebuilt == vec and hash(rebuilt) == hash(vec) and rebuilt.nums == vec.nums
+
+
+def test_numerator_form_equals_fraction_dict_arithmetic():
+    rng = random.Random(2801)
+    scalars = (0, -1, Fraction(2, 3), Fraction(10**12, 7))
+    kinds = set()
+    for pm in _seeded_maps(160, seed=2801):
+        size = pm.size
+        raw_a, raw_b = _draw_values(rng, size), _draw_values(rng, size)
+        kind = rng.randrange(3)
+        if kind == 1:  # the sum cancels everywhere
+            raw_b = [-v for v in raw_a]
+        elif kind == 2:  # the product is zero: disjoint supports
+            raw_b = [Fraction(0) if v else w for v, w in zip(raw_a, raw_b)]
+        a, b = CoefficientVector(raw_a), CoefficientVector(raw_b)
+        ra = {i: v for i, v in enumerate(raw_a) if v}
+        rb = {i: v for i, v in enumerate(raw_b) if v}
+        results = [
+            (a, ra), (b, rb),
+            (a + b, _ref_merge(ra, rb, operator.add)),
+            (a - b, _ref_merge(ra, rb, operator.sub)),
+            (a * b, {i: v * rb[i] for i, v in ra.items() if i in rb}),
+        ]
+        results += [(a.scale(c), _ref_scale(ra, Fraction(c))) for c in scalars]
+        for n in (-3, 1, 5):
+            forward = perm_power(pm.perm, n % pm.period)
+            results.append((sigma_tilde_pow(b, pm, n), {forward[i]: v for i, v in rb.items()}))
+        for vec, want in results:
+            _check_vector(vec, want, size)
+        kinds.add((kind, (a + b).is_zero(), (a * b).is_zero()))
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+        assert a.scale(Fraction(2, 3)).scale(Fraction(3, 2)) == a
+
+        f = {n: _draw_values(rng, size) for n in rng.sample(range(-3, 4), rng.randint(1, 3))}
+        g = {n: _draw_values(rng, size) for n in rng.sample(range(-3, 4), rng.randint(1, 3))}
+        if kind == 1:
+            # f = a + t, g = c*t + d with d = -sigma^-1(a*c): degree 1 cancels
+            c = CoefficientVector(raw_b)
+            d = sigma_tilde_pow((a * c).scale(-1), pm, -1)
+            f, g = {0: raw_a, 1: [Fraction(1)] * size}, {1: raw_b, 0: list(d.values)}
+        # by ascending degree, the order in which products meet, so entries meet in one order too
+        rf = {n: {i: v for i, v in enumerate(vals) if v} for n, vals in sorted(f.items())}
+        rg = {n: {i: v for i, v in enumerate(vals) if v} for n, vals in sorted(g.items())}
+        ef, eg = crossed_element(f), crossed_element(g)
+        elements = [(multiply(ef, eg, pm), _ref_multiply(rf, rg, pm))]
+        merged = {n: _ref_merge(rf.get(n, {}), rg.get(n, {}), operator.add) for n in {*rf, *rg}}
+        elements.append((ef + eg, merged))
+        elements += [(ef.scale(c), {n: _ref_scale(e, Fraction(c)) for n, e in rf.items()}) for c in scalars]
+        for elem, want in elements:
+            want = {n: e for n, e in sorted(want.items()) if e}
+            assert elem.degrees() == tuple(want)
+            for n, vec in elem.terms:
+                _check_vector(vec, want[n], size)
+        if kind == 1:
+            assert 1 not in multiply(ef, eg, pm).degrees()
+    assert {k for k, _, _ in kinds} == {0, 1, 2}
+    assert any(summed for k, summed, _ in kinds if k == 1) and any(p for k, _, p in kinds if k == 2)
