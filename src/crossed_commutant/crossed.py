@@ -50,10 +50,8 @@ class CoefficientVector:
         ratios = [v.as_integer_ratio() for v in values]
         dens = {q for p, q in ratios if p}
         den = lcm(*dens)  # reduced values over the lcm of their denominators share no factor with it
-        if len(dens) == 1:
-            nums = {i: p for i, (p, q) in enumerate(ratios) if p}
-        else:
-            nums = {i: p * (den // q) for i, (p, q) in enumerate(ratios) if p}
+        nums = ({i: p for i, (p, q) in enumerate(ratios) if p} if len(dens) == 1
+                else {i: p * (den // q) for i, (p, q) in enumerate(ratios) if p})
         self.__dict__.update(size=len(values), den=den, nums=nums)
 
     @classmethod
@@ -192,7 +190,7 @@ class CrossedElement:
 
     def scale(self, c: RationalLike) -> "CrossedElement":
         c = as_fraction(c)
-        return _element({n: _scaled(vec, c) for n, vec in self.terms})
+        return _element([(n, _scaled(vec, c)) for n, vec in self.terms] if c else [])
 
 
 def crossed_element(terms: Mapping[int, VectorLike]) -> CrossedElement:
@@ -207,13 +205,15 @@ def crossed_element(terms: Mapping[int, VectorLike]) -> CrossedElement:
     sizes = {v.size for v in vectors.values()}
     if len(sizes) > 1:
         raise PartitionMismatch(f"terms have mixed vector lengths: {sorted(sizes)}")
-    pruned = sorted((n, v) for n, v in vectors.items() if not v.is_zero())
-    return CrossedElement(tuple(pruned))
+    return _element([(n, v) for n, v in vectors.items() if v.nums])
 
 
-def _element(terms: dict[int, CoefficientVector]) -> CrossedElement:
-    # trusted constructor for int degrees and vectors of one size: prune and sort only
-    return CrossedElement(tuple(sorted((n, v) for n, v in terms.items() if v.nums)))
+def _element(terms: list[tuple[int, CoefficientVector]]) -> CrossedElement:
+    # trusted constructor for distinct int degrees and nonzero vectors of one size: sort only
+    terms.sort()
+    elem = object.__new__(CrossedElement)
+    elem.__dict__["terms"] = tuple(terms)
+    return elem
 
 
 def monomial(vec: VectorLike, degree: int) -> CrossedElement:
@@ -223,7 +223,8 @@ def monomial(vec: VectorLike, degree: int) -> CrossedElement:
 def indicator_element(size: int, pieces: Iterable[int], degree: int = 0) -> CrossedElement:
     if type(degree) is not int:
         raise TypeError(f"degree {degree!r} is not an int")
-    return _element({degree: CoefficientVector.indicator(size, pieces)})
+    vec = CoefficientVector.indicator(size, pieces)
+    return _element([(degree, vec)] if vec.nums else [])
 
 
 def _power(piece_map: PieceMap, n: int) -> tuple[int, ...]:
@@ -259,14 +260,13 @@ def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> Cross
     over its entries; the size check is the only guard against a foreign factor.
     """
     for elem in (f, g):
-        if elem.size is not None and elem.size != piece_map.size:
+        if elem.terms and elem.terms[0][1].size != len(piece_map.perm):
             raise PartitionMismatch("element does not live on the map's partition")
-    dens: dict[int, int] = {}  # degree -> the denominator of its sum so far
-    acc: dict[int, dict[int, int]] = {}  # degree -> the numerators of that sum
+    dens, acc = {}, {}  # degree -> the denominator, and the numerators, of its sum so far
     for n, fn in f.terms:
-        forward, left = _power(piece_map, n), fn.nums
+        forward, left, fden = _power(piece_map, n), fn.nums, fn.den
         for m, gm in g.terms:
-            d, den, right = n + m, fn.den * gm.den, gm.nums
+            d, den, right = n + m, fden * gm.den, gm.nums
             out, old = acc.setdefault(d, {}), dens.setdefault(d, den)
             if old != den:  # put the sum so far and this product over a common denominator
                 dens[d] = common = lcm(old, den)
@@ -281,7 +281,7 @@ def multiply(f: CrossedElement, g: CrossedElement, piece_map: PieceMap) -> Cross
                         out[j] = w
                     else:
                         del out[j]  # a sum that cancels
-    return _element({d: _reduced(len(piece_map.perm), dens[d], out) for d, out in acc.items()})
+    return _element([(d, _reduced(len(piece_map.perm), dens[d], out)) for d, out in acc.items() if out])
 
 
 # ---------------------------------------------------------------------------
