@@ -180,10 +180,12 @@ class CrossedElement:
         return self.terms[0][1].size if self.terms else None
 
     def __add__(self, other: "CrossedElement") -> "CrossedElement":
-        acc = {n: vec for n, vec in self.terms}
+        if self.terms and other.terms and self.size != other.size:
+            raise PartitionMismatch(f"elements of vector length {self.size} and {other.size}")
+        acc = dict(self.terms)
         for n, vec in other.terms:
             acc[n] = acc[n] + vec if n in acc else vec
-        return crossed_element(acc)
+        return _element([(n, vec) for n, vec in acc.items() if vec.nums])
 
     def __sub__(self, other: "CrossedElement") -> "CrossedElement":
         return self + other.scale(-1)

@@ -1,10 +1,12 @@
 """Randomized self-checks: oracle equivalences and algebraic laws.
 
 Instances are generated from a seeded RNG, so a given seed reproduces the
-identical stream.  Each suite returns how many subjects passed and its first
-counterexample when one exists, ending in the instance document it failed on
-(one line of JSON that ``validate`` and ``report`` read back); the command
-line front end prints one line per suite.
+identical stream.  Each partition and refinement is built once per
+``run_selftest`` call (or per suite called alone) and shared; the drawn maps
+are valid by construction and built unchecked.  Each suite returns how many
+subjects passed and its first counterexample when one exists, ending in the
+instance document it failed on (one line of JSON that ``validate`` and
+``report`` read back); the command line front end prints one line per suite.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .crossed import CoefficientVector, crossed_element, multiply, sigma_tilde_p
 from .dynamics import (
     PieceMap,
     PiProfile,
+    _unchecked_piece_map,
     check_pi,
     perm_cycles,
     pi_profile,
@@ -68,17 +71,23 @@ class SuiteResult:
 # random generation
 
 
-def _random_kind_preserving_perm(rng: random.Random, partition) -> tuple[int, ...]:
-    perm = [0] * partition.piece_count
-    groups: dict[PieceKind, list[int]] = {}
-    for piece in partition.pieces:
-        groups.setdefault(piece.kind, []).append(piece.id)
-    for ids in groups.values():
+def _kind_groups(partition) -> list[list[int]]:
+    kinds = dict.fromkeys(piece.kind for piece in partition.pieces)  # in order of first piece
+    return [[piece.id for piece in partition.pieces if piece.kind is kind] for kind in kinds]
+
+
+def _shuffle_within(rng: random.Random, size: int, groups: list[list[int]]) -> tuple[int, ...]:
+    perm = [0] * size
+    for ids in groups:
         images = ids[:]
         rng.shuffle(images)
         for src, dst in zip(ids, images):
             perm[src] = dst
     return tuple(perm)
+
+
+def _random_kind_preserving_perm(rng: random.Random, partition) -> tuple[int, ...]:
+    return _shuffle_within(rng, partition.piece_count, _kind_groups(partition))
 
 
 def _random_lift(rng: random.Random, refinement: Refinement, base_map: PieceMap) -> PieceMap:
@@ -87,10 +96,11 @@ def _random_lift(rng: random.Random, refinement: Refinement, base_map: PieceMap)
         src, dst = refinement.kind_split[b], refinement.kind_split[base_map.perm[b]]
         for kind in (1, 0):  # point children first, then the others
             images = list(dst[kind])
-            rng.shuffle(images)
+            if len(images) > 1:  # shuffling fewer draws nothing
+                rng.shuffle(images)
             for s, d in zip(src[kind], images):
                 perm[s] = d
-    return PieceMap(refinement.refined, tuple(perm))
+    return _unchecked_piece_map(refinement.refined, tuple(perm))
 
 
 def _instance(refinement: Refinement, base_map: PieceMap, refined_map: PieceMap) -> Instance:
@@ -104,58 +114,61 @@ def _document(instance: Instance) -> str:
 
 def random_instance(rng: random.Random, max_pieces: int = 11) -> Instance:
     """One random instance, at most ``max_pieces`` fine pieces, two levels deep."""
+    return _draw(rng, {}, max_pieces)
+
+
+def _shape(shapes: dict, key: object, build: Callable):
+    """The entry under ``key`` in one run's table of shapes, built on first use."""
+    return shapes[key] if key in shapes else shapes.setdefault(key, build())
+
+
+def _base(partition) -> tuple:
+    return partition, identity_refinement(partition), _kind_groups(partition)
+
+
+def _draw(rng: random.Random, shapes: dict, max_pieces: int = 11) -> Instance:
+    """``random_instance`` reading its partitions and refinements from ``shapes``; maps are drawn."""
     if rng.random() < 0.5:
-        n = rng.randint(0, 3)
-        jumps = sorted(rng.sample(range(0, 10), n))
-        base = build_real_line_partition(jumps)
-        base_map = PieceMap(base, _random_kind_preserving_perm(rng, base))
-        if rng.random() < 0.35:
-            return _instance(identity_refinement(base), base_map, base_map)
+        jumps = tuple(sorted(rng.sample(range(0, 10), rng.randint(0, 3))))
+        base, identity, groups = _shape(shapes, jumps, lambda: _base(build_real_line_partition(jumps)))
+    else:
+        count = rng.randint(1, 6)
+        base, identity, groups = _shape(shapes, count, lambda: _base(build_abstract_partition(count)))
+    base_map = _unchecked_piece_map(base, _shuffle_within(rng, base.piece_count, groups))
+    if rng.random() < 0.35:
+        return _instance(identity, base_map, base_map)
+    if isinstance(base, RealLinePartition):
         budget = (max_pieces - base.piece_count) // 2
-        additions = {}
-        interval_cycles = [
-            cycle for cycle in perm_cycles(base_map.perm)
-            if base.pieces[cycle[0]].kind is PieceKind.INTERVAL
-        ]
-        for cycle in interval_cycles:
+        counts: dict[int, int] = {}
+        for cycle in (c for c in perm_cycles(base_map.perm) if c[0] <= base.n):  # interval orbits
             cap = budget // len(cycle)
             count = rng.randint(0, min(2, cap)) if cap > 0 else 0
             if count:
                 budget -= count * len(cycle)
-                for alpha in cycle:
-                    additions[alpha] = evenly_spaced_inside(*base.bounds_of(alpha), count)
-        refinement = refine_real_line(base, additions)
+                counts.update(dict.fromkeys(cycle, count))
+        added = tuple(sorted(counts.items()))
+        refinement = _shape(shapes, (jumps, added), lambda: refine_real_line(
+            base, {alpha: evenly_spaced_inside(*base.bounds_of(alpha), k) for alpha, k in added}))
     else:
-        count = rng.randint(1, 6)
-        base = build_abstract_partition(count)
-        perm = list(range(count))
-        rng.shuffle(perm)
-        base_map = PieceMap(base, tuple(perm))
-        if rng.random() < 0.35:
-            return _instance(identity_refinement(base), base_map, base_map)
-        cycles = perm_cycles(base_map.perm)
         cells: dict[int, int] = {}
-        budget = max_pieces
-        remaining_min = sum(len(c) for c in cycles)
-        for cycle in cycles:
+        budget, remaining_min = max_pieces, base.piece_count
+        for cycle in perm_cycles(base_map.perm):
             remaining_min -= len(cycle)
             cap = (budget - remaining_min) // len(cycle)
             s = rng.randint(1, max(1, min(3, cap)))
             budget -= s * len(cycle)
-            for b in cycle:
-                cells[b] = s
-        refinement = refine_abstract(base, cells)
+            cells.update(dict.fromkeys(cycle, s))
+        key = (base.piece_count, tuple(sorted(cells.items())))
+        refinement = _shape(shapes, key, lambda: refine_abstract(base, cells))
 
-    if refinement.is_identity:
-        return _instance(refinement, base_map, base_map)
+    if refinement.is_identity:  # no piece split: the base's own identity entry
+        return _instance(identity, base_map, base_map)
     return _instance(refinement, base_map, _random_lift(rng, refinement, base_map))
 
 
 def _views(instance: Instance) -> list[SubalgebraView]:
-    views = [SubalgebraView.identity(instance.refinement.refined)]
-    if instance.refined:
-        views.append(SubalgebraView.of_refinement(instance.refinement))
-    return views
+    fine = [SubalgebraView.identity(instance.refinement.refined)]
+    return fine + [SubalgebraView.of_refinement(instance.refinement)] if instance.refined else fine
 
 
 # the small fractions p/q the random draws use, built once
@@ -213,11 +226,12 @@ def _run_suite(
     return SuiteResult(name, passed, passed)
 
 
-def suite_sep_oracle(seed: int, instances: int = 1000) -> SuiteResult:
+def suite_sep_oracle(seed: int, instances: int = 1000, shapes: dict | None = None) -> SuiteResult:
     """Formula-based separation sets equal the generator-by-generator oracle."""
+    shapes = {} if shapes is None else shapes
 
     def subject(rng: random.Random) -> Outcome:
-        instance = random_instance(rng)
+        instance = _draw(rng, shapes)
         for view in _views(instance):
             for n in range(-WINDOW, WINDOW + 1):
                 fast = sep_set(view, instance.refined_map, n)
@@ -229,11 +243,12 @@ def suite_sep_oracle(seed: int, instances: int = 1000) -> SuiteResult:
     return _run_suite("sep formula = oracle", seed, instances, subject)
 
 
-def suite_action_laws(seed: int, iterations: int = 300) -> SuiteResult:
+def suite_action_laws(seed: int, iterations: int = 300, shapes: dict | None = None) -> SuiteResult:
     """Transport is a group action by algebra automorphisms."""
+    shapes = {} if shapes is None else shapes
 
     def subject(rng: random.Random) -> Outcome:
-        instance = random_instance(rng)
+        instance = _draw(rng, shapes)
         pm = instance.refined_map
         size = pm.size
         f, g = _random_vector(rng, size), _random_vector(rng, size)
@@ -249,11 +264,12 @@ def suite_action_laws(seed: int, iterations: int = 300) -> SuiteResult:
     return _run_suite("transport group action laws", seed, iterations, subject)
 
 
-def suite_algebra_laws(seed: int, triples: int = 500) -> SuiteResult:
+def suite_algebra_laws(seed: int, triples: int = 500, shapes: dict | None = None) -> SuiteResult:
     """Multiplication is associative and bilinear over the rationals."""
+    shapes = {} if shapes is None else shapes
 
     def subject(rng: random.Random) -> Outcome:
-        instance = random_instance(rng)
+        instance = _draw(rng, shapes)
         pm = instance.refined_map
         size = pm.size
         f, g, h = (_random_element(rng, size) for _ in range(3))
@@ -285,17 +301,18 @@ def _random_member(rng: random.Random, description):
     return crossed_element(terms)
 
 
-def suite_commutant_commutes(seed: int, pairs: int = 500) -> SuiteResult:
+def suite_commutant_commutes(seed: int, pairs: int = 500, shapes: dict | None = None) -> SuiteResult:
     """Any two members of the fine algebra's commutant commute.
 
     This is the commutativity half of maximality and it is specific to the
     commutant of the full function algebra: the commutant of a coarse
     subalgebra is larger and genuinely noncommutative.
     """
+    shapes = {} if shapes is None else shapes
 
     def subject(rng: random.Random) -> Outcome:
-        instance = random_instance(rng)
-        view = _views(instance)[0]
+        instance = _draw(rng, shapes)
+        view = SubalgebraView.identity(instance.refinement.refined)
         description = commutant_description(view, instance.refined_map)
         f = _random_member(rng, description)
         g = _random_member(rng, description)
@@ -306,12 +323,13 @@ def suite_commutant_commutes(seed: int, pairs: int = 500) -> SuiteResult:
     return _run_suite("commutant members commute", seed, pairs, subject)
 
 
-def suite_noncommuting_witness(seed: int, count: int = 500) -> SuiteResult:
+def suite_noncommuting_witness(seed: int, count: int = 500, shapes: dict | None = None) -> SuiteResult:
     """Every non-member is caught by a coarse indicator generator."""
+    shapes = {} if shapes is None else shapes
 
     def subject(rng: random.Random) -> Outcome:
-        instance = random_instance(rng)
-        view = _views(instance)[-1]
+        instance = _draw(rng, shapes)
+        view = SubalgebraView.of_refinement(instance.refinement)
         pm = instance.refined_map
         description = commutant_description(view, pm)
         bad_degrees = [n for n in range(1, 7) if description.sep(n)]
@@ -333,16 +351,17 @@ def suite_noncommuting_witness(seed: int, count: int = 500) -> SuiteResult:
     return _run_suite("non-members yield generator witnesses", seed, count, subject)
 
 
-def suite_refinement_monotone(seed: int, instances: int = 400) -> SuiteResult:
+def suite_refinement_monotone(seed: int, instances: int = 400, shapes: dict | None = None) -> SuiteResult:
     """Refining only grows separation sets, in the exact decomposed shape.
 
     At every degree the refined separation set is the coarse one plus the
     fine pieces that ``commutant_difference`` forbids there.  The lift is
     checked once, by ``commutant_difference``.
     """
+    shapes = {} if shapes is None else shapes
 
     def subject(rng: random.Random) -> Outcome:
-        instance = random_instance(rng)
+        instance = _draw(rng, shapes)
         if not instance.refined:
             return None
         refinement, bm, rm = instance.refinement, instance.base_map, instance.refined_map
@@ -375,11 +394,12 @@ def _lift_stream_failure(refinement: Refinement, base_map: PieceMap, expected: i
     return None
 
 
-def suite_enumeration(seed: int, instances: int = 40) -> SuiteResult:
+def suite_enumeration(seed: int, instances: int = 40, shapes: dict | None = None) -> SuiteResult:
     """Lift streams are complete, valid, duplicate-free, and bounded."""
+    shapes = {} if shapes is None else shapes
 
     def subject(rng: random.Random) -> Outcome:
-        instance = random_instance(rng, max_pieces=9)
+        instance = _draw(rng, shapes, max_pieces=9)
         if not instance.refined:
             return None
         expected = count_refined_maps(instance.refinement, instance.base_map)
@@ -390,11 +410,12 @@ def suite_enumeration(seed: int, instances: int = 40) -> SuiteResult:
     return _run_suite("lift enumeration complete and valid", seed, instances, subject)
 
 
-def suite_profiles(seed: int, instances: int = 40) -> SuiteResult:
+def suite_profiles(seed: int, instances: int = 40, shapes: dict | None = None) -> SuiteResult:
     """Profiles of valid lifts are admissible; admissible profiles are realized."""
+    shapes = {} if shapes is None else shapes
 
     def subject(rng: random.Random) -> Outcome:
-        instance = random_instance(rng)
+        instance = _draw(rng, shapes)
         if not instance.refined:
             return None
         refinement, bm, rm = instance.refinement, instance.base_map, instance.refined_map
@@ -440,13 +461,14 @@ def _admissible_profiles(k: int, p: int) -> list[PiProfile]:
 
 def run_selftest(seed: int, iterations: int = 1000) -> list[SuiteResult]:
     scale = max(1, iterations)
+    shapes: dict = {}  # one table of shapes for the whole run
     return [
-        suite_sep_oracle(seed, scale),
-        suite_action_laws(seed + 1, max(50, scale // 3)),
-        suite_algebra_laws(seed + 2, max(50, scale // 2)),
-        suite_commutant_commutes(seed + 3, max(50, scale // 2)),
-        suite_noncommuting_witness(seed + 4, max(50, scale // 2)),
-        suite_refinement_monotone(seed + 5, max(40, scale // 3)),
-        suite_enumeration(seed + 6, max(10, scale // 25)),
-        suite_profiles(seed + 7, max(10, scale // 25)),
+        suite_sep_oracle(seed, scale, shapes),
+        suite_action_laws(seed + 1, max(50, scale // 3), shapes),
+        suite_algebra_laws(seed + 2, max(50, scale // 2), shapes),
+        suite_commutant_commutes(seed + 3, max(50, scale // 2), shapes),
+        suite_noncommuting_witness(seed + 4, max(50, scale // 2), shapes),
+        suite_refinement_monotone(seed + 5, max(40, scale // 3), shapes),
+        suite_enumeration(seed + 6, max(10, scale // 25), shapes),
+        suite_profiles(seed + 7, max(10, scale // 25), shapes),
     ]

@@ -2,9 +2,12 @@
 import copy
 import math
 import operator
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -481,6 +484,66 @@ def test_trusted_products_and_scales_equal_the_checked_constructor():
             assert scaled == crossed_element({n: [c * v for v in vec.values] for n, vec in f.terms})
             _assert_normal_form(scaled, size)
     assert cancelled >= 100
+
+
+def test_trusted_sums_equal_the_checked_constructor():
+    """``f + g`` against a reference summed entry by entry and built by ``crossed_element``."""
+    rng = random.Random(3001)
+    cases = {"disjoint": 0, "cancels in a degree": 0, "cancels everywhere": 0, "zero operand": 0}
+    for i in range(300):
+        size = rng.randint(1, 9)
+
+        def element():
+            degrees = rng.sample(range(-3, 4), rng.randint(0, 3))
+            return crossed_element({n: _sparse_values(rng, size) for n in degrees})
+
+        f, g = element(), element()
+        if i % 5 == 1:
+            g = f.scale(-1)
+        elif i % 5 == 2 and f.terms:
+            n, vec = f.terms[0]
+            g = g + crossed_element({n: vec.scale(-1)}) if n not in g.degrees() else f.scale(-1)
+        elif i % 5 == 3:
+            g = crossed_element({n: _sparse_values(rng, size) for n in range(4, 4 + rng.randint(1, 2))})
+        a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 2)), Fraction(rng.randint(-3, 3), 3)
+        for x, y in ((f, g), (g, f), (f.scale(a), g.scale(b))):
+            acc = {}
+            for elem in (x, y):
+                for n, vec in elem.terms:
+                    row = acc.setdefault(n, [Fraction(0)] * size)
+                    for p, v in enumerate(vec.values):
+                        row[p] += v
+            total = x + y
+            assert total == crossed_element(acc)
+            _assert_normal_form(total, size)
+            cases["disjoint"] += bool(x.terms and y.terms) and not set(x.degrees()) & set(y.degrees())
+            cases["cancels in a degree"] += any(not any(row) for row in acc.values()) and bool(total.terms)
+            cases["cancels everywhere"] += bool(acc) and not total.terms
+            cases["zero operand"] += not (x.terms and y.terms)
+    assert min(cases.values()) >= 30, cases
+
+
+_SUM_OF_MIXED_LENGTHS = """
+from crossed_commutant import monomial
+from crossed_commutant.errors import PartitionMismatch
+try:
+    monomial([1, 2], 0) + monomial([1, 2, 3], 5)
+except PartitionMismatch as exc:
+    print(exc)
+"""
+
+
+def test_element_sums_name_both_lengths_also_under_python_O():
+    small, wide = monomial([1, 2], 0), monomial([1, 2, 3], 5)
+    with pytest.raises(PartitionMismatch, match=re.escape("elements of vector length 2 and 3")):
+        small + wide
+    assert small + crossed_element({}) == small == crossed_element({}) + small
+    src = os.path.join(os.path.dirname(crossed.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _SUM_OF_MIXED_LENGTHS], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.stdout == "elements of vector length 2 and 3\n", run.stderr
 
 
 def test_public_element_paths_still_check_sizes():
