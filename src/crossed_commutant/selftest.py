@@ -160,15 +160,16 @@ def _draw(rng: random.Random, shapes: dict, max_pieces: int = 11) -> Instance:
             cells.update(dict.fromkeys(cycle, s))
         key = (base.piece_count, tuple(sorted(cells.items())))
         refinement = _shape(shapes, key, lambda: refine_abstract(base, cells))
-
     if refinement.is_identity:  # no piece split: the base's own identity entry
         return _instance(identity, base_map, base_map)
     return _instance(refinement, base_map, _random_lift(rng, refinement, base_map))
 
 
 def _views(instance: Instance) -> list[SubalgebraView]:
-    fine = [SubalgebraView.identity(instance.refinement.refined)]
-    return fine + [SubalgebraView.of_refinement(instance.refinement)] if instance.refined else fine
+    views = [SubalgebraView.identity(instance.refinement.refined)]
+    if instance.refined:
+        views.append(SubalgebraView.of_refinement(instance.refinement))
+    return views
 
 
 # the small fractions p/q the random draws use, built once

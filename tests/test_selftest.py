@@ -181,7 +181,7 @@ def _reference_instance(rng, max_pieces):
                 perm[src] = dst
         base_map = PieceMap(base, tuple(perm))
         if rng.random() < 0.35:
-            return Instance("real_line", identity_refinement(base), base_map, base_map, 12, False)
+            return Instance("real_line", identity_refinement(base), base_map, base_map, selftest.WINDOW, False)
         budget, additions = (max_pieces - base.piece_count) // 2, {}
         for cycle in perm_cycles(base_map.perm):
             cap = budget // len(cycle) if cycle[0] in base.interval_ids() else 0
@@ -193,7 +193,7 @@ def _reference_instance(rng, max_pieces):
         base = build_abstract_partition(rng.randint(1, 6))
         base_map = PieceMap(base, tuple(_shuffled(rng, range(base.piece_count))))
         if rng.random() < 0.35:
-            return Instance("abstract", identity_refinement(base), base_map, base_map, 12, False)
+            return Instance("abstract", identity_refinement(base), base_map, base_map, selftest.WINDOW, False)
         cells, budget, remaining = {}, max_pieces, base.piece_count
         for cycle in perm_cycles(base_map.perm):
             remaining -= len(cycle)
@@ -203,14 +203,15 @@ def _reference_instance(rng, max_pieces):
         refinement = refine_abstract(base, cells)
     kind = "real_line" if refinement.added_points is not None else "abstract"
     if refinement.is_identity:
-        return Instance(kind, refinement, base_map, base_map, 12, False)
+        return Instance(kind, refinement, base_map, base_map, selftest.WINDOW, False)
     perm = [0] * refinement.refined.piece_count
     for b in range(base.piece_count):
         src, dst = refinement.kind_split[b], refinement.kind_split[base_map.perm[b]]
         for kind_ in (1, 0):
             for s, d in zip(src[kind_], _shuffled(rng, dst[kind_])):
                 perm[s] = d
-    return Instance(kind, refinement, base_map, PieceMap(refinement.refined, tuple(perm)), 12, True)
+    lift = PieceMap(refinement.refined, tuple(perm))
+    return Instance(kind, refinement, base_map, lift, selftest.WINDOW, True)
 
 
 @pytest.mark.parametrize("max_pieces", [9, 11, 15])
@@ -243,7 +244,7 @@ def test_drawn_maps_rebuild_through_the_checked_constructor():
     assert refined >= 100
 
 
-def _shape(instance):
+def _shape_of(instance):
     """An instance's document without its maps: equal shapes have equal table keys."""
     return json.dumps({k: v for k, v in render_instance(instance).items() if "perm" not in k})
 
@@ -265,7 +266,7 @@ def test_a_run_shares_its_shapes_and_keeps_none_afterwards(monkeypatch):
         assert len({table for table, _ in draws}) == 1  # one table for all eight suites
         objects: dict[str, set[int]] = {}
         for _, instance in draws:
-            objects.setdefault(_shape(instance), set()).add(id(instance.refinement))
+            objects.setdefault(_shape_of(instance), set()).add(id(instance.refinement))
         assert all(len(ids) == 1 for ids in objects.values())
         assert len(objects) < len(draws)
         held.append({id(x) for _, i in draws for x in (i.refinement, i.base, i.analysis_partition)})
@@ -282,9 +283,9 @@ def test_a_bare_draw_holds_no_table():
     first = random_instance(rng)
     for _ in range(200):
         again = random_instance(rng)
-        if _shape(again) == _shape(first):
+        if _shape_of(again) == _shape_of(first):
             break
-    assert _shape(again) == _shape(first) and again.refinement is not first.refinement
+    assert _shape_of(again) == _shape_of(first) and again.refinement is not first.refinement
     assert again.base is not first.base
     alive = weakref.ref(first.refinement)
     del first
