@@ -2,8 +2,8 @@
 
 Instances are generated from a seeded RNG, so a given seed reproduces the
 identical stream.  Each partition and refinement is built once per
-``run_selftest`` call (or per suite called alone) and shared; the drawn maps
-are valid by construction and built unchecked.  Each suite returns how many
+``run_selftest`` call and shared by its suites; the drawn maps are valid by
+construction and built unchecked.  Each suite returns how many
 subjects passed and its first counterexample when one exists, ending in the
 instance document it failed on (one line of JSON that ``validate`` and
 ``report`` read back); the command line front end prints one line per suite.
@@ -114,7 +114,7 @@ def _document(instance: Instance) -> str:
 
 def random_instance(rng: random.Random, max_pieces: int = 11) -> Instance:
     """One random instance, at most ``max_pieces`` fine pieces, two levels deep."""
-    return _draw(rng, {}, max_pieces)
+    return _draw(rng, None, max_pieces)
 
 
 def _shape(shapes: dict, key: object, build: Callable):
@@ -126,14 +126,16 @@ def _base(partition) -> tuple:
     return partition, identity_refinement(partition), _kind_groups(partition)
 
 
-def _draw(rng: random.Random, shapes: dict, max_pieces: int = 11) -> Instance:
-    """``random_instance`` reading its partitions and refinements from ``shapes``; maps are drawn."""
+def _draw(rng: random.Random, shapes: dict | None, max_pieces: int = 11) -> Instance:
+    """``random_instance`` reading its partitions and refinements from ``shapes`` (None: a fresh table)."""
+    shapes = {} if shapes is None else shapes
     if rng.random() < 0.5:
         jumps = tuple(sorted(rng.sample(range(0, 10), rng.randint(0, 3))))
-        base, identity, groups = _shape(shapes, jumps, lambda: _base(build_real_line_partition(jumps)))
+        key, build = ("line", jumps), lambda: build_real_line_partition(jumps)
     else:
         count = rng.randint(1, 6)
-        base, identity, groups = _shape(shapes, count, lambda: _base(build_abstract_partition(count)))
+        key, build = ("abstract", count), lambda: build_abstract_partition(count)
+    base, identity, groups = _shape(shapes, key, lambda: _base(build()))
     base_map = _unchecked_piece_map(base, _shuffle_within(rng, base.piece_count, groups))
     if rng.random() < 0.35:
         return _instance(identity, base_map, base_map)
@@ -147,7 +149,7 @@ def _draw(rng: random.Random, shapes: dict, max_pieces: int = 11) -> Instance:
                 budget -= count * len(cycle)
                 counts.update(dict.fromkeys(cycle, count))
         added = tuple(sorted(counts.items()))
-        refinement = _shape(shapes, (jumps, added), lambda: refine_real_line(
+        refinement = _shape(shapes, ("line-refinement", jumps, added), lambda: refine_real_line(
             base, {alpha: evenly_spaced_inside(*base.bounds_of(alpha), k) for alpha, k in added}))
     else:
         cells: dict[int, int] = {}
@@ -158,7 +160,7 @@ def _draw(rng: random.Random, shapes: dict, max_pieces: int = 11) -> Instance:
             s = rng.randint(1, max(1, min(3, cap)))
             budget -= s * len(cycle)
             cells.update(dict.fromkeys(cycle, s))
-        key = (base.piece_count, tuple(sorted(cells.items())))
+        key = ("abstract-refinement", base.piece_count, tuple(sorted(cells.items())))
         refinement = _shape(shapes, key, lambda: refine_abstract(base, cells))
     if refinement.is_identity:  # no piece split: the base's own identity entry
         return _instance(identity, base_map, base_map)
@@ -229,8 +231,6 @@ def _run_suite(
 
 def suite_sep_oracle(seed: int, instances: int = 1000, shapes: dict | None = None) -> SuiteResult:
     """Formula-based separation sets equal the generator-by-generator oracle."""
-    shapes = {} if shapes is None else shapes
-
     def subject(rng: random.Random) -> Outcome:
         instance = _draw(rng, shapes)
         for view in _views(instance):
@@ -246,8 +246,6 @@ def suite_sep_oracle(seed: int, instances: int = 1000, shapes: dict | None = Non
 
 def suite_action_laws(seed: int, iterations: int = 300, shapes: dict | None = None) -> SuiteResult:
     """Transport is a group action by algebra automorphisms."""
-    shapes = {} if shapes is None else shapes
-
     def subject(rng: random.Random) -> Outcome:
         instance = _draw(rng, shapes)
         pm = instance.refined_map
@@ -267,8 +265,6 @@ def suite_action_laws(seed: int, iterations: int = 300, shapes: dict | None = No
 
 def suite_algebra_laws(seed: int, triples: int = 500, shapes: dict | None = None) -> SuiteResult:
     """Multiplication is associative and bilinear over the rationals."""
-    shapes = {} if shapes is None else shapes
-
     def subject(rng: random.Random) -> Outcome:
         instance = _draw(rng, shapes)
         pm = instance.refined_map
@@ -309,8 +305,6 @@ def suite_commutant_commutes(seed: int, pairs: int = 500, shapes: dict | None = 
     commutant of the full function algebra: the commutant of a coarse
     subalgebra is larger and genuinely noncommutative.
     """
-    shapes = {} if shapes is None else shapes
-
     def subject(rng: random.Random) -> Outcome:
         instance = _draw(rng, shapes)
         view = SubalgebraView.identity(instance.refinement.refined)
@@ -326,8 +320,6 @@ def suite_commutant_commutes(seed: int, pairs: int = 500, shapes: dict | None = 
 
 def suite_noncommuting_witness(seed: int, count: int = 500, shapes: dict | None = None) -> SuiteResult:
     """Every non-member is caught by a coarse indicator generator."""
-    shapes = {} if shapes is None else shapes
-
     def subject(rng: random.Random) -> Outcome:
         instance = _draw(rng, shapes)
         view = SubalgebraView.of_refinement(instance.refinement)
@@ -359,8 +351,6 @@ def suite_refinement_monotone(seed: int, instances: int = 400, shapes: dict | No
     fine pieces that ``commutant_difference`` forbids there.  The lift is
     checked once, by ``commutant_difference``.
     """
-    shapes = {} if shapes is None else shapes
-
     def subject(rng: random.Random) -> Outcome:
         instance = _draw(rng, shapes)
         if not instance.refined:
@@ -397,8 +387,6 @@ def _lift_stream_failure(refinement: Refinement, base_map: PieceMap, expected: i
 
 def suite_enumeration(seed: int, instances: int = 40, shapes: dict | None = None) -> SuiteResult:
     """Lift streams are complete, valid, duplicate-free, and bounded."""
-    shapes = {} if shapes is None else shapes
-
     def subject(rng: random.Random) -> Outcome:
         instance = _draw(rng, shapes, max_pieces=9)
         if not instance.refined:
@@ -413,8 +401,6 @@ def suite_enumeration(seed: int, instances: int = 40, shapes: dict | None = None
 
 def suite_profiles(seed: int, instances: int = 40, shapes: dict | None = None) -> SuiteResult:
     """Profiles of valid lifts are admissible; admissible profiles are realized."""
-    shapes = {} if shapes is None else shapes
-
     def subject(rng: random.Random) -> Outcome:
         instance = _draw(rng, shapes)
         if not instance.refined:
