@@ -15,7 +15,6 @@ ratio is the piece's multiplier.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
@@ -130,14 +129,7 @@ class PieceMap(_Memo):
     @cached_property
     def cycle_classification(self) -> CycleClassification:
         """Pieces grouped by period, walked once per map; shared, so read-only."""
-        periods = cycle_lengths(self.perm)
-        grouped: dict[int, set[int]] = {}
-        for pid, k in enumerate(periods):
-            grouped.setdefault(k, set()).add(pid)
-        return CycleClassification(
-            period_of=periods,
-            classes=MappingProxyType({k: frozenset(v) for k, v in sorted(grouped.items())}),
-        )
+        return _classify_periods(cycle_lengths(self.perm))
 
     @cached_property
     def period(self) -> int:
@@ -146,7 +138,7 @@ class PieceMap(_Memo):
 
 
 def _unchecked_piece_map(partition: Partition, perm: tuple[int, ...]) -> PieceMap:
-    # trusted constructor for enumeration streams; inputs valid by construction
+    # trusted constructor for enumeration streams and self-test draws; inputs valid by construction
     pm = object.__new__(PieceMap)
     fields = pm.__dict__
     fields["partition"] = partition
@@ -275,6 +267,16 @@ class CycleClassification:
     period_of: tuple[int, ...]
     classes: Mapping[int, frozenset[int]]
 
+    def __reduce__(self):  # a mappingproxy does not pickle, and the periods determine it
+        return _classify_periods, (self.period_of,)
+
+
+def _classify_periods(periods: tuple[int, ...]) -> CycleClassification:
+    grouped: dict[int, set[int]] = {}
+    for pid, k in enumerate(periods):
+        grouped.setdefault(k, set()).add(pid)
+    return CycleClassification(periods, MappingProxyType({k: frozenset(v) for k, v in sorted(grouped.items())}))
+
 
 def cycle_classes(piece_map: PieceMap) -> CycleClassification:
     return piece_map.cycle_classification
@@ -282,50 +284,54 @@ def cycle_classes(piece_map: PieceMap) -> CycleClassification:
 
 @dataclass(frozen=True)
 class RefinedCycleClassification:
-    """Coarse periods and the (parent period, multiplier) class of every fine piece.
+    """Coarse periods and the fine period of every piece of a lift.
 
     A fine piece whose parent has period k and whose own period is k*l gets
     multiplier l; ``tilde_classes[(k, l)]`` collects the fine pieces with
-    that pair.
+    that pair.  Both are read off ``period_of`` on first use.  A piece's (k, l)
+    and its fine period determine each other, so equality compares periods.
     """
 
     refinement: Refinement
     base: CycleClassification
-    tilde_classes: Mapping[tuple[int, int], frozenset[int]]
+    period_of: tuple[int, ...]  # fine periods, by fine piece id
 
     @cached_property
     def multiplier_of(self) -> tuple[int, ...]:
-        multipliers = [0] * self.refinement.refined.piece_count
-        for (_, l), pieces in self.tilde_classes.items():
-            for c in pieces:
-                multipliers[c] = l
-        return tuple(multipliers)
+        k_of = _gather(self.base.period_of, self.refinement.parent_of)
+        return tuple(map(operator.floordiv, self.period_of, k_of))
+
+    @cached_property
+    def tilde_classes(self) -> Mapping[tuple[int, int], frozenset[int]]:
+        k_of = _gather(self.base.period_of, self.refinement.parent_of)
+        grouped: dict[tuple[int, int], list[int]] = {}  # (parent period, fine period)
+        for child, periods in enumerate(zip(k_of, self.period_of)):
+            grouped.setdefault(periods, []).append(child)
+        return {(k, fine // k): frozenset(v) for (k, fine), v in sorted(grouped.items())}
 
 
 def refined_cycle_classes(
     refinement: Refinement, base_map: PieceMap, refined_map: PieceMap
 ) -> RefinedCycleClassification:
-    """Classify fine pieces by (parent period, multiplier), one fine orbit at a time.
+    """Read every fine piece's period off one walk of the lift's cycles.
 
-    Raises LiftInconsistent if some fine piece's period fails to be a multiple
-    of its parent's period, which cannot happen for a genuine lift.
+    Raises LiftInconsistent, naming the least such piece, if some fine
+    piece's period fails to be a multiple of its parent's period, which
+    cannot happen for a genuine lift.
     """
     base_cls = cycle_classes(base_map)
-    k_of = _gather(base_cls.period_of, refinement.parent_of)
-    by_periods: dict[tuple[int, int], list[int]] = {}  # (parent period, fine period)
-    for cycle in perm_cycles(refined_map.perm):
-        fine = len(cycle)
+    period_of = [0] * len(refined_map.perm)
+    for cycle in perm_cycles(refined_map.perm):  # one walk; the lift's own classification stays unbuilt
         for child in cycle:
-            by_periods.setdefault((k_of[child], fine), []).append(child)
-    failed = [(min(v), fine, k) for (k, fine), v in by_periods.items() if fine % k]
-    if failed:
-        child, fine, k = min(failed)
+            period_of[child] = len(cycle)
+    k_of = _gather(base_cls.period_of, refinement.parent_of)
+    if any(map(operator.mod, period_of, k_of)):
+        child = next(c for c, (fine, k) in enumerate(zip(period_of, k_of)) if fine % k)
         raise LiftInconsistent(
-            f"piece {refinement.refined.label_of(child)} has period {fine}, "
-            f"not a multiple of its parent's period {k}"
+            f"piece {refinement.refined.label_of(child)} has period {period_of[child]}, "
+            f"not a multiple of its parent's period {k_of[child]}"
         )
-    tilde = {(k, fine // k): frozenset(v) for (k, fine), v in sorted(by_periods.items())}
-    return RefinedCycleClassification(refinement, base_cls, tilde)
+    return RefinedCycleClassification(refinement, base_cls, tuple(period_of))
 
 
 # ---------------------------------------------------------------------------
@@ -375,25 +381,22 @@ def pi_profile(rcc: RefinedCycleClassification, base_cycle: Iterable[int]) -> Pi
         raise ValueError(f"interval members span several periods: {sorted(periods)}")
     k = periods.pop()
 
-    def profile(b: int) -> tuple[int, Counter]:
-        subs = rcc.refinement.kind_split[b][0]
-        return len(subs) - 1, Counter(rcc.multiplier_of[c] for c in subs)
-
+    multiplier_of, kind_split = rcc.multiplier_of, rcc.refinement.kind_split
     rep = intervals[0]
-    p, counts = profile(rep)
+    split = sorted(_gather(multiplier_of, kind_split[rep][0]))  # its subintervals' multipliers
     for other in intervals[1:]:
-        p2, counts2 = profile(other)
-        if p2 != p:
+        theirs = sorted(_gather(multiplier_of, kind_split[other][0]))
+        if len(theirs) != len(split):
             raise UnequalChildCounts(
-                f"{base_part.label_of(rep)} carries {p} added points but "
-                f"{base_part.label_of(other)} carries {p2}"
+                f"{base_part.label_of(rep)} carries {len(split) - 1} added points but "
+                f"{base_part.label_of(other)} carries {len(theirs) - 1}"
             )
-        if counts2 != counts:
+        if theirs != split:
             raise UnequalChildCounts(
                 f"multiplier counts differ between {base_part.label_of(rep)} "
                 f"and {base_part.label_of(other)}"
             )
-    return PiProfile(k=k, p=p, pi=dict(sorted(counts.items())))
+    return PiProfile(k=k, p=len(split) - 1, pi={l: split.count(l) for l in split})
 
 
 RULE_DIVISIBILITY = "multiplier-divisibility"

@@ -86,10 +86,6 @@ def _shuffle_within(rng: random.Random, size: int, groups: list[list[int]]) -> t
     return tuple(perm)
 
 
-def _random_kind_preserving_perm(rng: random.Random, partition) -> tuple[int, ...]:
-    return _shuffle_within(rng, partition.piece_count, _kind_groups(partition))
-
-
 def _random_lift(rng: random.Random, refinement: Refinement, base_map: PieceMap) -> PieceMap:
     perm = [0] * refinement.refined.piece_count
     for b in range(refinement.base.piece_count):

@@ -34,7 +34,11 @@ from crossed_commutant import (
     sep_set,
 )
 from crossed_commutant.errors import LiftInconsistent, MapDoesNotDescend, PartitionMismatch
-from crossed_commutant.selftest import _random_kind_preserving_perm, _random_lift, random_instance
+from crossed_commutant.selftest import _kind_groups, _random_lift, _shuffle_within, random_instance
+
+
+def _random_kind_preserving_perm(rng, partition):
+    return _shuffle_within(rng, partition.piece_count, _kind_groups(partition))
 
 
 def swap_instance():

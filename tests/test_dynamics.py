@@ -3,12 +3,15 @@ import copy
 import json
 import pickle
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import islice, permutations
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 from crossed_commutant import (
+    PieceKind,
     PieceMap,
     PiProfile,
     atlas_instances,
@@ -38,7 +41,7 @@ from crossed_commutant.dynamics import (
     Violation,
     cycle_lengths,
 )
-from crossed_commutant.errors import InfeasibleProfile, LiftInconsistent
+from crossed_commutant.errors import InfeasibleProfile, LiftInconsistent, UnequalChildCounts
 from crossed_commutant.selftest import _admissible_profiles, random_instance
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -514,3 +517,131 @@ def test_lift_check_equals_the_per_child_reference():
     assert (sum(verdicts[n + s:n + s + r]), r) == (165, 287)
     assert verdicts[n + s + r:] == [True] * len(documents)
     assert rules == {RULE_LIFT: 1165, RULE_CHILD_COUNT: 280, RULE_REGION: 108}
+
+
+def _reference_pi_profile(ref, bm, rm, base_cycle):
+    """The profile with one Counter of multipliers per interval member, off the per-child classes."""
+    _, multiplier_of, base_period = _per_child_classes(ref, bm, rm)
+    members = sorted(set(base_cycle))
+    if not members:
+        raise ValueError("base_cycle is empty")
+    base_part = ref.base
+    intervals = [b for b in members if base_part.pieces[b].kind is not PieceKind.POINT]
+    if not intervals:
+        raise ValueError("base_cycle has no interval members")
+    periods = {base_period[b] for b in intervals}
+    if len(periods) != 1:
+        raise ValueError(f"interval members span several periods: {sorted(periods)}")
+    k = periods.pop()
+
+    def profile(b):
+        subs = ref.kind_split[b][0]
+        return len(subs) - 1, Counter(multiplier_of[c] for c in subs)
+
+    rep = intervals[0]
+    p, counts = profile(rep)
+    for other in intervals[1:]:
+        p2, counts2 = profile(other)
+        if p2 != p:
+            raise UnequalChildCounts(
+                f"{base_part.label_of(rep)} carries {p} added points but "
+                f"{base_part.label_of(other)} carries {p2}"
+            )
+        if counts2 != counts:
+            raise UnequalChildCounts(
+                f"multiplier counts differ between {base_part.label_of(rep)} "
+                f"and {base_part.label_of(other)}"
+            )
+    return PiProfile(k=k, p=p, pi=dict(sorted(counts.items())))
+
+
+def _profiles(ref, bm, rm, base_cycle):
+    """(the fast profile, the reference), each as (profile, key order) or (error type, message)."""
+    def outcome(profile, *args):
+        try:
+            got = profile(*args)
+        except (ValueError, UnequalChildCounts) as exc:
+            return type(exc).__name__, str(exc)
+        return got, list(got.pi)
+
+    return (outcome(pi_profile, refined_cycle_classes(ref, bm, rm), base_cycle),
+            outcome(_reference_pi_profile, ref, bm, rm, base_cycle))
+
+
+# (k, p) of the lift-stream grid whose streams have at most 1,728 lifts
+SMALL_GRID = [(k, p) for k in (1, 2, 3) for p in range(4) if (factorial(p + 1) * factorial(p)) ** k <= 1728]
+
+
+def test_pi_profile_equals_the_counter_reference_on_grid_streams_and_draws():
+    cases = []
+    for k, p in SMALL_GRID:
+        ref, bm, _ = realize_pi(k, p, PiProfile(k=k, p=p, pi={1: p + 1}))
+        cases += [(ref, bm, lift, range(k)) for lift in islice(enumerate_refined_maps(ref, bm), 0, None, 3)]
+    grid = len(cases)
+    cases += [(ref, bm, rm, cycle) for ref, bm, rm in _refined_draws(4481, 300) for cycle in perm_cycles(bm.perm)]
+    outcomes = Counter()
+    for i, case in enumerate(cases):
+        got, want = _profiles(*case)
+        assert got == want
+        outcomes["grid" if i < grid else want[0] if isinstance(want[0], str) else "draw"] += 1
+    # the draws' orbits reach profiles and the orbits of jump points alone
+    assert dict(outcomes) == {"grid": 685, "draw": 567, "ValueError": 156}
+
+
+def test_pi_profile_refusals_name_what_the_reference_names():
+    base = build_real_line_partition(["0"])  # I_0, I_1 and the point {t_1}, all fixed
+    bm = PieceMap.identity(base)
+    uneven = refine_real_line(base, {0: ["-1"], 1: ["1", "2"]})
+    even = refine_real_line(base, {0: ["-1"], 1: ["1"]})
+    swapped = PieceMap(even.refined, (1, 0, 2, 3, 4, 5, 6))  # I_0's two subintervals trade places
+    line = build_real_line_partition(["0", "1"])
+    swap = PieceMap(line, (1, 0, 2, 3, 4))  # I_0 and I_1 trade places, I_2 stays
+    cases = [
+        ((uneven, bm, PieceMap.identity(uneven.refined), (0, 1)),
+         ("UnequalChildCounts", "I_0 carries 1 added points but I_1 carries 2")),
+        ((even, bm, swapped, (0, 1)),
+         ("UnequalChildCounts", "multiplier counts differ between I_0 and I_1")),
+        ((even, bm, swapped, ()), ("ValueError", "base_cycle is empty")),
+        ((even, bm, swapped, (2,)), ("ValueError", "base_cycle has no interval members")),
+        ((refine_real_line(line, {}), swap, swap, (0, 2)),
+         ("ValueError", "interval members span several periods: [1, 2]")),
+    ]
+    for case, refusal in cases:
+        assert _profiles(*case) == (refusal, refusal)
+
+
+def test_a_profile_reads_the_multipliers_and_leaves_the_classes_unbuilt():
+    ref, bm, rm = realize_pi(2, 1, PiProfile(k=2, p=1, pi={2: 2}))
+    rcc = refined_cycle_classes(ref, bm, rm)
+    assert {"multiplier_of", "tilde_classes"}.isdisjoint(vars(rcc))
+    assert pi_profile(rcc, range(2)).sorted_items() == ((2, 2),)
+    assert "multiplier_of" in vars(rcc) and "tilde_classes" not in vars(rcc)
+
+
+def test_classifications_are_equal_exactly_when_their_classes_are():
+    ref, bm, _ = realize_pi(2, 2, PiProfile(k=2, p=2, pi={1: 3}))
+    lifts = list(enumerate_refined_maps(ref, bm))
+    first = [refined_cycle_classes(ref, bm, rm) for rm in lifts]
+    again = [refined_cycle_classes(ref, bm, rm) for rm in lifts]
+    for rcc in again[::2]:
+        rcc.tilde_classes  # a read on one side changes nothing
+    assert first == again
+    classes = [rcc.tilde_classes for rcc in first]
+    assert len({tuple(c.items()) for c in classes}) > 1
+    for a, ca in zip(first, classes):
+        assert [a == b for b in first] == [ca == cb for cb in classes]
+
+
+def test_classifications_copy_before_and_after_their_lazy_reads():
+    ref, bm, rm = realize_pi(2, 1, PiProfile(k=2, p=1, pi={2: 2}))
+    want = refined_cycle_classes(ref, bm, rm)
+    lazy = ("multiplier_of", "tilde_classes")
+    for read in (False, True):
+        rcc = refined_cycle_classes(ref, bm, rm)
+        if read:
+            rcc.multiplier_of, rcc.tilde_classes
+        for twin in (pickle.loads(pickle.dumps(rcc)), copy.deepcopy(rcc)):
+            assert twin == rcc == want
+            assert all((name in vars(twin)) is read for name in lazy)
+            assert twin.multiplier_of == want.multiplier_of == (2, 2, 2, 2, 1, 1, 1)
+            assert list(twin.tilde_classes.items()) == list(want.tilde_classes.items())

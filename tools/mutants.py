@@ -44,7 +44,12 @@ class Mutant:
 SELFTEST = "src/crossed_commutant/selftest.py"
 CROSSED = "src/crossed_commutant/crossed.py"
 COMMUTANT = "src/crossed_commutant/commutant.py"
+DYNAMICS = "src/crossed_commutant/dynamics.py"
+ENUMERATION = "src/crossed_commutant/enumeration.py"
 SAME_DRAWS = "tests/test_selftest.py::test_draws_from_one_table_equal_fresh_and_reference_draws"
+PER_CHILD = "tests/test_dynamics.py::test_refined_cycle_classes_equal_the_per_child_reference"
+COUNTER_PROFILES = "tests/test_dynamics.py::test_pi_profile_equals_the_counter_reference_on_grid_streams_and_draws"
+CENSUS = "tests/test_enumeration.py::test_atlas_census_equals_the_lift_stream[2-2]"
 
 MUTANTS = (
     Mutant(
@@ -124,6 +129,70 @@ MUTANTS = (
         "        size = view.ambient.piece_count\n",
         ("tests/test_commutant.py::test_warm_oracle_still_refuses_foreign_and_torn_maps",),
         "the oracle's memo entry stored before the map passes descend_map",
+    ),
+    Mutant(
+        "no_divisibility_check", DYNAMICS,
+        "    if any(map(operator.mod, period_of, k_of)):", "    if False:",
+        (PER_CHILD,),
+        "a fine period that is no multiple of its parent's period goes through",
+    ),
+    Mutant(
+        "multiplier_not_divided", DYNAMICS,
+        "return tuple(map(operator.floordiv, self.period_of, k_of))", "return self.period_of",
+        (PER_CHILD, COUNTER_PROFILES),
+        "a piece's multiplier read as its fine period, not divided by its parent's period",
+    ),
+    Mutant(
+        "profile_skips_multipliers", DYNAMICS,
+        "if theirs != split:", "if False:",
+        ("tests/test_dynamics.py::test_pi_profile_refusals_name_what_the_reference_names",),
+        "a profile compares the members' subinterval counts but not their multipliers",
+    ),
+    Mutant(
+        "tilde_keys_unsorted", DYNAMICS,
+        "for (k, fine), v in sorted(grouped.items())}", "for (k, fine), v in grouped.items()}",
+        (PER_CHILD,),
+        "the (k, l) classes keyed in the order of their least pieces, not sorted",
+    ),
+    Mutant(
+        "cycle_filed_by_first_member", DYNAMICS,
+        "    k_of = _gather(base_cls.period_of, refinement.parent_of)\n",
+        "    k_of = _gather(base_cls.period_of, _gather(refinement.parent_of, [c[0] for _, c in sorted(\n"
+        "        (x, c) for c in perm_cycles(refined_map.perm) for x in c)]))\n",
+        (PER_CHILD,),
+        "every piece of a fine cycle checked against the parent period of the cycle's first member",
+    ),
+    Mutant(
+        "census_last_arc_from_smallest", DYNAMICS,
+        "        last = max(cycle)\n", "        last = min(cycle)\n",
+        ("tests/test_dynamics.py::test_realize_pi_is_the_lex_minimal_lift_with_its_profile", CENSUS),
+        "each orbit's return map put on the arc out of its smallest member, not its largest",
+    ),
+    Mutant(
+        "longest_cycles_first", DYNAMICS,
+        "for length in sorted(cycle_type):", "for length in sorted(cycle_type, reverse=True):",
+        ("tests/test_enumeration.py::test_minimal_permutation_of_each_cycle_type_is_the_rotation_rule",),
+        "the minimal permutation of a cycle type lays out its longest cycles first",
+    ),
+    Mutant(
+        "census_without_n_factorial", ENUMERATION,
+        "count = math.factorial(n) * lifts", "count = lifts",
+        (CENSUS,),
+        "a census case counted without the n! orders of the base jump points",
+    ),
+    Mutant(
+        "multiply_stores_cancelled_zero", CROSSED,
+        "del out[j]  # a sum that cancels", "out[j] = 0  # a sum that cancels",
+        ("tests/test_crossed.py::test_numerator_form_equals_fraction_dict_arithmetic",
+         "tests/test_crossed.py::test_trusted_products_and_scales_equal_the_checked_constructor"),
+        "a twisted product keeps an entry whose sum cancels, as a stored zero",
+    ),
+    Mutant(
+        "inverse_power_in_transport_memo", CROSSED,
+        "piece_map._memo[key] = perm_power(piece_map.perm, key)",
+        "piece_map._memo[key] = perm_power(piece_map.perm, -key)",
+        ("tests/test_crossed.py::test_transport_matches_repeated_single_steps_on_seeded_maps",),
+        "the transport memo stores the inverse power of the map",
     ),
 )
 
