@@ -299,7 +299,8 @@ class RefinedCycleClassification:
     @cached_property
     def multiplier_of(self) -> tuple[int, ...]:
         k_of = _gather(self.base.period_of, self.refinement.parent_of)
-        return tuple(map(operator.floordiv, self.period_of, k_of))
+        # through a list: tuple(map(...)) resizes, and its freed tuples pile up in the free lists
+        return tuple([*map(operator.floordiv, self.period_of, k_of)])
 
     @cached_property
     def tilde_classes(self) -> Mapping[tuple[int, int], frozenset[int]]:

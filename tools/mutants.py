@@ -138,7 +138,7 @@ MUTANTS = (
     ),
     Mutant(
         "multiplier_not_divided", DYNAMICS,
-        "return tuple(map(operator.floordiv, self.period_of, k_of))", "return self.period_of",
+        "return tuple([*map(operator.floordiv, self.period_of, k_of)])", "return self.period_of",
         (PER_CHILD, COUNTER_PROFILES),
         "a piece's multiplier read as its fine period, not divided by its parent's period",
     ),
