@@ -18,6 +18,7 @@ import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import groupby
 from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -382,8 +383,7 @@ def pi_profile(rcc: RefinedCycleClassification, base_cycle: Iterable[int]) -> Pi
         raise ValueError(f"interval members span several periods: {sorted(periods)}")
     k = periods.pop()
 
-    multiplier_of, kind_split = rcc.multiplier_of, rcc.refinement.kind_split
-    rep = intervals[0]
+    multiplier_of, kind_split, rep = rcc.multiplier_of, rcc.refinement.kind_split, intervals[0]
     split = sorted(_gather(multiplier_of, kind_split[rep][0]))  # its subintervals' multipliers
     for other in intervals[1:]:
         theirs = sorted(_gather(multiplier_of, kind_split[other][0]))
@@ -397,7 +397,7 @@ def pi_profile(rcc: RefinedCycleClassification, base_cycle: Iterable[int]) -> Pi
                 f"multiplier counts differ between {base_part.label_of(rep)} "
                 f"and {base_part.label_of(other)}"
             )
-    return PiProfile(k=k, p=len(split) - 1, pi={l: split.count(l) for l in split})
+    return PiProfile(k=k, p=len(split) - 1, pi={l: len(list(g)) for l, g in groupby(split)})
 
 
 RULE_DIVISIBILITY = "multiplier-divisibility"

@@ -1,6 +1,7 @@
 """The layer timings of tools/bench_layers.py, on canned process output."""
 import importlib.util
 import json
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -52,10 +53,10 @@ def test_a_process_runs_the_sides_source_and_reads_its_last_line(monkeypatch, tm
         return SimpleNamespace(returncode=0, stderr="", stdout="noise\n" + json.dumps(reading(package, 12.5)))
 
     monkeypatch.setattr(bench_layers.subprocess, "run", fake_run)
-    got = bench_layers.run_process(tmp_path, 3)
+    got = bench_layers.run_process(tmp_path)
     assert got["layers"]["block_head"]["us_per_call"] == 12.5
-    assert seen["argv"][1:] == [str(TOOL), "--measure", "--repeats", "3"]
-    assert seen["env"]["PYTHONPATH"] == str(tmp_path / "src")
+    assert seen["argv"][1:] == [str(TOOL), "--measure"]
+    assert seen["env"]["PYTHONPATH"].split(os.pathsep) == [str(tmp_path / "src"), str(tmp_path / "perfbench")]
     assert not Path(seen["cwd"]).is_relative_to(tmp_path)
 
 
@@ -65,7 +66,7 @@ def test_a_failed_process_or_a_foreign_package_stops_the_run(monkeypatch, tmp_pa
     monkeypatch.setattr(bench_layers.subprocess, "run",
                         lambda *a, **k: SimpleNamespace(returncode=returncode, stderr="boom", stdout=stdout))
     with pytest.raises(SystemExit):
-        bench_layers.run_process(tmp_path, 3)
+        bench_layers.run_process(tmp_path)
 
 
 def test_the_sides_alternate_and_one_json_document_is_printed(monkeypatch, capsys, tmp_path):
@@ -73,22 +74,22 @@ def test_the_sides_alternate_and_one_json_document_is_printed(monkeypatch, capsy
                         lambda spec, workdir, label: (tmp_path / label, f"rev-{spec}"))
     order = []
 
-    def fake_process(directory, repeats):
+    def fake_process(directory):
         order.append(directory.name)
         return reading(directory, 20.0 if directory.name == "parent" else 11.0)
 
     monkeypatch.setattr(bench_layers, "run_process", fake_process)
-    assert bench_layers.main(["--parent", "A", "--change", "B", "--processes", "3", "--repeats", "2"]) == 0
+    monkeypatch.setattr(bench_layers, "PROCESSES", 3)
+    assert bench_layers.main(["--parent", "A", "--change", "B"]) == 0
     assert order == ["parent", "change", "change", "parent", "parent", "change"]
     document = json.loads(capsys.readouterr().out)
     assert document["git_rev"] == {"parent": "rev-A", "change": "rev-B"}
-    assert (document["processes"], document["repeats"]) == (3, 2)
+    assert (document["processes"], document["repeats"]) == (3, bench_layers.REPEATS)
     assert document["layers"]["block_head"]["change_wins"] == 3
 
 
-@pytest.mark.parametrize("argv", [["--parent", "A"], ["--parent", "A", "--change", "B", "--processes", "0"],
-                                  ["--parent", "A", "--change", "B", "--repeats", "0"]])
-def test_bad_arguments_are_refused_before_any_checkout(monkeypatch, argv):
+@pytest.mark.parametrize("argv", [["--parent", "A"], ["--change", "B"]])
+def test_a_missing_side_is_refused_before_any_checkout(monkeypatch, argv):
     monkeypatch.setattr(bench_layers.bench_pairs, "checkout", lambda *a: pytest.fail("checked out"))
     with pytest.raises(SystemExit) as exit_info:
         bench_layers.main(argv)

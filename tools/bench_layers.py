@@ -2,13 +2,13 @@
 
 Usage, from the root of a source checkout:
 
-    python3 tools/bench_layers.py --parent HEAD~1 --change HEAD --processes 10
+    python3 tools/bench_layers.py --parent HEAD~1 --change HEAD
 
 ``--parent`` and ``--change`` each name a source directory or a git
 revision, checked out as ``tools/bench_pairs.py`` does.  Each side runs in
-``--processes`` fresh interpreters, the parent first in even rounds and the
+``PROCESSES`` fresh interpreters, the parent first in even rounds and the
 change first in odd ones.  A process imports the side's ``src`` and times
-every layer ``--repeats`` times over one fixed input set, in CPU time
+every layer ``REPEATS`` times over one fixed input set, in CPU time
 (``time.process_time_ns``); its reading is the least time per call.  Per
 layer, the JSON document on stdout gives each side's minimum and median of
 those readings in microseconds per call, every reading in round order, and
@@ -16,7 +16,8 @@ the rounds the change won.  The layers:
 
 - ``block_head``: ``refined_cycle_classes`` and ``pi_profile`` at the head
   of every block of lifts that shares one profile, on the grid of the
-  ``lift-stream`` workload (875 calls), as that workload profiles them;
+  ``lift-stream`` workload (875 calls), as that workload profiles them; the
+  grid is ``LIFT_GRID`` of the side's own ``perfbench/workloads.py``;
 - ``commutant_difference``: on the 500 refined draws of ``random_instance``
   with ``random.Random(4481)``;
 - ``lift_stream``: the bare ``enumerate_refined_maps`` stream over the same
@@ -43,19 +44,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_pairs  # noqa: E402
 
 LAYERS = ("block_head", "commutant_difference", "lift_stream")
-# (k, p) as in the lift-stream workload: k intervals in one orbit, p points each
-LIFT_GRID = tuple((k, p) for k in (1, 2, 3) for p in (0, 1, 2, 3) if (k, p) != (3, 3))
+PROCESSES, REPEATS = 10, 5  # fresh processes per side; passes per layer in each process
 DRAW_SEED, DRAWS = 4481, 500
 
 
-def layer_inputs(cc) -> dict:
+def layer_inputs(cc, lift_grid) -> dict:
     """Per layer, the function that makes one pass and the calls a pass makes."""
     dynamics, enumeration = cc.dynamics, cc.enumeration
     grid, heads = [], []
-    for k, p in LIFT_GRID:
+    for k, p in lift_grid:
         refinement, base_map, _ = dynamics.realize_pi(k, p, dynamics.PiProfile(k=k, p=p, pi={1: p + 1}))
         grid.append((refinement, base_map))
-        block = math.factorial(p) ** k
+        block = math.factorial(p) ** k  # the workload's block: its lifts share one profile
         for i, lift in enumerate(enumeration.enumerate_refined_maps(refinement, base_map)):
             if i % block == 0:
                 heads.append((refinement, base_map, lift, range(k)))
@@ -84,15 +84,16 @@ def layer_inputs(cc) -> dict:
             "lift_stream": (lift_stream, lifts)}
 
 
-def measure(repeats: int) -> dict:
-    """In this process: per layer, the least CPU time per call over ``repeats`` passes."""
+def measure() -> dict:
+    """In this process: per layer, the least CPU time per call over ``REPEATS`` passes."""
     import crossed_commutant as cc
     from crossed_commutant import commutant, dynamics, enumeration, selftest  # noqa: F401
+    from workloads import LIFT_GRID
 
     out = {"package": cc.__file__, "layers": {}}
-    for name, (work, calls) in layer_inputs(cc).items():
+    for name, (work, calls) in layer_inputs(cc, LIFT_GRID).items():
         best = math.inf
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.process_time_ns()
             work()
             best = min(best, time.process_time_ns() - start)
@@ -100,12 +101,13 @@ def measure(repeats: int) -> dict:
     return out
 
 
-def run_process(directory: Path, repeats: int) -> dict:
-    """One fresh interpreter on ``directory/src``; its reading per layer."""
-    env = {**os.environ, "PYTHONPATH": str(directory / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+def run_process(directory: Path) -> dict:
+    """One fresh interpreter on ``directory``'s ``src`` and ``perfbench``; its reading per layer."""
+    path = os.pathsep.join(str(directory / sub) for sub in ("src", "perfbench"))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as cwd:
         done = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--measure", "--repeats", str(repeats)],
+            [sys.executable, str(Path(__file__).resolve()), "--measure"],
             cwd=cwd, env=env, capture_output=True, text=True,
         )
     if done.returncode != 0:
@@ -137,33 +139,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", help="source directory or git revision")
     parser.add_argument("--change", help="source directory or git revision")
-    parser.add_argument("--processes", type=int, default=10, help="fresh processes per side")
-    parser.add_argument("--repeats", type=int, default=5, help="passes per layer in each process")
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     if args.measure:
-        print(json.dumps(measure(args.repeats)))
+        print(json.dumps(measure()))
         return 0
     if not (args.parent and args.change):
         parser.error("--parent and --change are required")
-    if args.processes < 1:
-        parser.error("--processes must be at least 1")
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as tmp:
         sides = {label: bench_pairs.checkout(spec, Path(tmp), label)
                  for label, spec in (("parent", args.parent), ("change", args.change))}
         readings: dict[str, list[dict]] = {"parent": [], "change": []}
-        for i in range(args.processes):
+        for i in range(PROCESSES):
             for label in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                readings[label].append(run_process(sides[label][0], args.repeats))
-            print(f"round {i + 1}/{args.processes} done", file=sys.stderr)
+                readings[label].append(run_process(sides[label][0]))
+            print(f"round {i + 1}/{PROCESSES} done", file=sys.stderr)
     print(json.dumps({
         "machine": bench_pairs.machine(),
         "python": platform.python_version(),
         "git_rev": {label: rev for label, (_, rev) in sides.items()},
-        "processes": args.processes,
-        "repeats": args.repeats,
+        "processes": PROCESSES,
+        "repeats": REPEATS,
         "layers": summarize(readings),
     }, indent=2))
     return 0
